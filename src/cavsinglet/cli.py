@@ -125,17 +125,17 @@ def cmd_steady(args) -> int:
     scheme = parse_scheme(args.scheme)
     me = build_master_equation(params)
     lv = liouville.vectorize(me)
+    tol = schemes.WS_DEGENERACY_TOL if scheme is SchemeId.WS else None
     outputs = []
     if scheme is SchemeId.MIX:
         fid = schemes.scheme_numeric_fidelity(
             scheme, g=params.g, gamma=params.gamma, kappa=params.kappa,
             Omega=params.Omega,
         )
-        gap = liouville.spectral_gap(lv).gap
     else:
-        rho = liouville.steady_state(lv)
+        rho = liouville.steady_state(lv, tol)
         fid = liouville.fidelity(rho, named_state(me.space, "S"))
-        gap = liouville.spectral_gap(lv).gap
+    gap = liouville.spectral_gap(lv, tol).gap
     C = params.cooperativity()
     fid_analytic = 1.0 - schemes.static_error(scheme, C)
     gap_analytic = schemes.gap_analytic(scheme, params)
@@ -264,8 +264,9 @@ def cmd_table1(args) -> int:
                 params2 = preset(probe, g=g, gamma=gamma, kappa=kappa, Omega=omega2)
             me = build_master_equation(params2)
             lv = liouville.vectorize(me)
-            report = liouville.spectral_gap(lv)
-            rho_ss = liouville.steady_state(lv)
+            tol = schemes.WS_DEGENERACY_TOL if scheme is SchemeId.WS else None
+            report = liouville.spectral_gap(lv, tol)
+            rho_ss = liouville.steady_state(lv, tol)
             rho0 = liouville.mixed_ground_state(me.space)
             t_conv = liouville.time_to_convergence(lv, rho0, rho_ss,
                                                    threshold=0.01,
@@ -427,7 +428,9 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trajectory", help="multi-method population trajectories")
     _add_param_flags(p)
     p.add_argument("--t-final", dest="t_final", type=float, required=True)
-    p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--dt", type=float, default=None,
+                   help="sample grid step (default 0.05/g), thinned to about "
+                        "1000 samples; the evolution itself is exact")
     p.add_argument("--methods", default="full")
     p.add_argument("--rho0", default="mixed",
                    help="mixed or a named state (S, T, 00, 11)")

@@ -20,10 +20,6 @@ class NumericalInstabilityError(RuntimeError):
     """A numeric result violates a structural bound (positivity, conditioning)."""
 
 
-class StepSizeError(RuntimeError):
-    """The fixed-step integrator could not keep the trace drift within bounds."""
-
-
 class SingularPropagatorError(RuntimeError):
     """A closed-form propagator denominator is numerically singular."""
 

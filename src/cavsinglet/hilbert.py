@@ -112,9 +112,6 @@ class HilbertSpace:
         out[np.ix_(self._keep, self._keep)] = matrix
         return out
 
-    def restrict_vector(self, full_vec: np.ndarray) -> np.ndarray:
-        return full_vec[self._keep]
-
     # -- single-site operators in the full product space --------------------
 
     def atom_op_full(self, op3: np.ndarray, site: int) -> np.ndarray:
@@ -234,14 +231,6 @@ class OperatorMatrix:
             ],
         }
         return json.dumps(payload)
-
-
-def zero_operator(space) -> OperatorMatrix:
-    return OperatorMatrix(space, np.zeros((space.dim, space.dim), dtype=complex))
-
-
-def identity_operator(space) -> OperatorMatrix:
-    return OperatorMatrix(space, np.eye(space.dim, dtype=complex))
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:

@@ -1,5 +1,5 @@
 """Dense Liouvillian machinery: vectorization, steady states, spectra,
-fixed-step time evolution and fidelities.
+exact time evolution and fidelities.
 
 Vectorization is column-stacking throughout: ``vec(rho) =
 rho.reshape(-1, order="F")`` and the superoperator of ``A rho B`` is
@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -20,10 +20,21 @@ from .errors import (
     DegenerateSteadyStateError,
     DimensionMismatchError,
     NumericalInstabilityError,
-    StepSizeError,
 )
 from .hilbert import StateVector, named_state
 from .model import MasterEquation
+
+# Above this condition number of the eigenvector matrix, V (c * exp(w t))
+# loses the digits the trace check relies on.  Every scheme over the
+# domain the CLI accepts stays below 4e3 (S1 at C = 1000, Omega = gamma/2).
+MAX_EIGENVECTOR_COND = 1e8
+
+# Largest |tr(rho(t)) - 1| tolerated on any propagated sample.
+TRACE_TOL = 1e-8
+
+# Sample times evaluated per block, so that the temporaries stay a fraction
+# of the (times x dim^2) result.
+TIME_CHUNK = 128
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -31,19 +42,82 @@ def vec(rho: np.ndarray) -> np.ndarray:
 
 
 def unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    return np.asarray(v, dtype=complex).reshape((dim, dim), order="F")
+    """Inverse of ``vec``; a stack of vectors (..., dim^2) gives (..., dim, dim)."""
+    v = np.asarray(v, dtype=complex)
+    return v.reshape(v.shape[:-1] + (dim, dim)).swapaxes(-1, -2)
+
+
+@dataclass(frozen=True)
+class Eigensystem:
+    """Right eigenpairs ``L V = V diag(values)`` of a diagonalizable generator."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+
+    @classmethod
+    def of(cls, mat: np.ndarray) -> "Eigensystem":
+        """Raises ``NumericalInstabilityError`` for a (nearly) defective ``mat``."""
+        # numpy's LAPACK, like the matrix products that use the result:
+        # calling scipy's copy as well would touch a second BLAS workspace.
+        values, vectors = np.linalg.eig(mat)
+        cond = np.linalg.cond(vectors)
+        if not cond <= MAX_EIGENVECTOR_COND:
+            raise NumericalInstabilityError(
+                f"generator is not safely diagonalizable: cond(V) = {cond:.3e} "
+                f"exceeds {MAX_EIGENVECTOR_COND:.0e}"
+            )
+        return cls(values.astype(complex, copy=False),
+                   vectors.astype(complex, copy=False))
+
+    def solution(self, v0: np.ndarray):
+        """Exact solution of dv/dt = L v with v(0) = v0.
+
+        Solves V c = v0 once and returns a function mapping an array of
+        times to the rows v(t) = V (c * exp(w t)), shape (len(times), n).
+        """
+        coeff = np.linalg.solve(self.vectors, np.asarray(v0, dtype=complex))
+
+        def at(times) -> np.ndarray:
+            t = np.asarray(times, dtype=float)
+            out = np.empty((len(t), len(coeff)), dtype=complex)
+            for i in range(0, len(t), TIME_CHUNK):
+                x = np.exp(np.multiply.outer(t[i:i + TIME_CHUNK], self.values))
+                x *= coeff
+                np.matmul(x, self.vectors.T, out=out[i:i + TIME_CHUNK])
+            return out
+
+        return at
 
 
 @dataclass(frozen=True)
 class LiouvillianMatrix:
-    """dim^2 x dim^2 generator acting on column-stacked density matrices."""
+    """dim^2 x dim^2 generator acting on column-stacked density matrices.
+
+    Its spectrum is computed on first use and kept: ``eigenvalues()`` (from
+    ``eigvals``, about half the cost of ``eig``) serves gaps and steady
+    states, ``eigensystem()`` serves time evolution.
+    """
 
     space: object
     mat: np.ndarray
+    _eigenvalues: np.ndarray | None = field(default=None, init=False, repr=False)
+    _eigensystem: Eigensystem | None = field(default=None, init=False, repr=False)
 
     @property
     def dim(self) -> int:
         return self.space.dim
+
+    def eigenvalues(self) -> np.ndarray:
+        if self._eigenvalues is None:
+            values = scipy.linalg.eigvals(self.mat)
+            values.flags.writeable = False
+            object.__setattr__(self, "_eigenvalues", values)
+        return self._eigenvalues
+
+    def eigensystem(self) -> Eigensystem:
+        if self._eigensystem is None:
+            object.__setattr__(self, "_eigensystem", Eigensystem.of(self.mat))
+        return self._eigensystem
 
 
 def apply_generator(me: MasterEquation, rho: np.ndarray) -> np.ndarray:
@@ -99,7 +173,7 @@ def spectral_gap(lv: LiouvillianMatrix, degeneracy_tol: float | None = None) -> 
     the degeneracy tolerance (gap undefined).
     """
     try:
-        eigs = scipy.linalg.eigvals(lv.mat)
+        eigs = lv.eigenvalues()
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         cond = np.linalg.cond(lv.mat)
         raise NumericalInstabilityError(
@@ -149,13 +223,6 @@ class DensityMatrix:
     @classmethod
     def pure(cls, state: StateVector) -> "DensityMatrix":
         return cls(state.space, np.outer(state.vec, state.vec.conj()))
-
-    @classmethod
-    def mixture(cls, states: list[StateVector], weights=None) -> "DensityMatrix":
-        if weights is None:
-            weights = [1.0 / len(states)] * len(states)
-        mat = sum(w * np.outer(s.vec, s.vec.conj()) for w, s in zip(weights, states))
-        return cls(states[0].space, mat)
 
 
 def _is_ground_basis(space) -> bool:
@@ -243,72 +310,36 @@ def propagate(
     rho0: DensityMatrix,
     t_final: float,
     dt: float,
-    store_every: int | None = None,
-    max_halvings: int = 8,
 ) -> Trajectory:
-    """Fixed-step 4th-order Runge-Kutta on the vectorized master equation.
+    """Exact evolution of the master equation on a uniform sample grid.
 
-    The step is halved (and the run restarted) until the trace drift stays
-    within 1e-8; if the drift still exceeds 1e-6 after ``max_halvings``
-    restarts a ``StepSizeError`` is raised.
+    ``dt`` only places the samples: the run is cut into
+    ``n = ceil(t_final / dt)`` steps of ``h = t_final / n`` and sampled
+    every ``n // 1000`` steps and at the last one.  The states come from
+    the generator's eigensystem, so they carry no step-size error; a
+    ``NumericalInstabilityError`` is raised if any sample's trace leaves
+    1 by more than ``TRACE_TOL``.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if rho0.space != me.space:
         raise DimensionMismatchError("initial state lives on a different space")
-    lv = vectorize(me)
-    d = me.dim
     if t_final == 0:
         return Trajectory(me.space, np.array([0.0]),
                           rho0.mat[np.newaxis].copy(), dt)
-
-    mat = lv.mat
-    drift = math.inf
-    for attempt in range(max_halvings + 1):
-        n_steps = max(1, math.ceil(t_final / dt - 1e-12))
-        h = t_final / n_steps
-        if store_every is None:
-            stride = max(1, n_steps // 1000)
-        else:
-            stride = max(1, int(store_every))
-        v = vec(rho0.mat)
-        times = [0.0]
-        samples = [v.copy()]
-        drift = 0.0
-        diverged = False
-        for step in range(1, n_steps + 1):
-            k1 = mat @ v
-            k2 = mat @ (v + 0.5 * h * k1)
-            k3 = mat @ (v + 0.5 * h * k2)
-            k4 = mat @ (v + h * k3)
-            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if step % stride == 0 or step == n_steps:
-                tr = v[:: d + 1].sum()
-                drift = max(drift, abs(tr - 1.0))
-                amp = np.abs(v).max()
-                # the Runge-Kutta update preserves the trace even when it
-                # diverges, so instability shows up in the amplitudes
-                if not np.isfinite(amp) or amp > 10.0 or drift > 0.5:
-                    diverged = True
-                    break
-                times.append(step * h)
-                samples.append(v.copy())
-        if not diverged and drift <= 1e-8:
-            states = np.array([unvec(s, d) for s in samples])
-            return Trajectory(me.space, np.array(times), states, h)
-        dt = dt / 2.0
-    if diverged or drift > 1e-6:
-        raise StepSizeError(
-            f"integration {'diverged' if diverged else 'drifted'} "
-            f"(trace drift {drift:.3e}) after {max_halvings} halvings "
-            f"(dt = {dt:.3e})"
+    n_steps = max(1, math.ceil(t_final / dt - 1e-12))
+    h = t_final / n_steps
+    steps = np.arange(0, n_steps + 1, max(1, n_steps // 1000))
+    if steps[-1] != n_steps:
+        steps = np.append(steps, n_steps)
+    times = steps * h
+    states = evolve_spectral(vectorize(me), rho0, times)
+    drift = float(np.abs(np.einsum("nii->n", states) - 1.0).max())
+    if not drift <= TRACE_TOL:
+        raise NumericalInstabilityError(
+            f"trace drifted by {drift:.3e} (> {TRACE_TOL:.0e}) during evolution"
         )
-    warnings.warn(
-        f"trace drift {drift:.3e} above 1e-8 target after {max_halvings} halvings",
-        stacklevel=2,
-    )
-    states = np.array([unvec(s, d) for s in samples])
-    return Trajectory(me.space, np.array(times), states, h)
+    return Trajectory(me.space, times, states, h)
 
 
 def fidelity(rho: DensityMatrix, psi: StateVector) -> float:
@@ -329,19 +360,9 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 
 
 def evolve_spectral(lv: LiouvillianMatrix, rho0: DensityMatrix, times) -> np.ndarray:
-    """States at arbitrary times via the eigendecomposition of the generator.
-
-    Diagnostic path (convergence-time measurements); trajectory commands use
-    the Runge-Kutta integrator.
-    """
-    evals, evecs = scipy.linalg.eig(lv.mat)
-    coeff = np.linalg.solve(evecs, vec(rho0.mat))
-    times = np.asarray(times, dtype=float)
-    out = np.empty((len(times), lv.dim, lv.dim), dtype=complex)
-    for i, t in enumerate(times):
-        v = evecs @ (coeff * np.exp(evals * t))
-        out[i] = unvec(v, lv.dim)
-    return out
+    """States exp(L t) rho0 at the given times, shape (len(times), dim, dim),
+    from the generator's cached eigensystem."""
+    return unvec(lv.eigensystem().solution(vec(rho0.mat))(times), lv.dim)
 
 
 def time_to_convergence(
@@ -354,20 +375,21 @@ def time_to_convergence(
     """First time with trace distance to the steady state <= threshold."""
     if gap_hint is None:
         gap_hint = spectral_gap(lv).gap
+    solution = lv.eigensystem().solution(vec(rho0.mat))
+
+    def distances(times) -> list[float]:
+        return [trace_distance(DensityMatrix(lv.space, s), rho_ss)
+                for s in unvec(solution(times), lv.dim)]
+
     t_hi = 30.0 / gap_hint
     grid = np.geomspace(t_hi * 1e-4, t_hi, 160)
-    states = evolve_spectral(lv, rho0, grid)
-    dists = [
-        trace_distance(DensityMatrix(lv.space, s), rho_ss) for s in states
-    ]
-    for i, dist in enumerate(dists):
+    for i, dist in enumerate(distances(grid)):
         if dist <= threshold:
             lo = 0.0 if i == 0 else grid[i - 1]
             hi = grid[i]
             for _ in range(40):
                 mid = 0.5 * (lo + hi)
-                s = evolve_spectral(lv, rho0, [mid])[0]
-                if trace_distance(DensityMatrix(lv.space, s), rho_ss) <= threshold:
+                if distances([mid])[0] <= threshold:
                     hi = mid
                 else:
                     lo = mid

@@ -16,6 +16,7 @@ import numpy as np
 
 from .effective import GROUND_LABELS, effective_rates, simplified_dark_state_operators
 from .errors import RecyclingDivergenceError
+from .liouville import Eigensystem, ground_state_vectors
 from .model import SystemParams
 
 DRESSED_ORDER = ("T+", "T-", "Tr", "S")
@@ -166,13 +167,7 @@ def slow_left_eigenvector(rm: RateMatrix) -> np.ndarray:
 
 def evolve(rm: RateMatrix, p0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Populations at the given times, from the eigendecomposition."""
-    evals, evecs = np.linalg.eig(rm.matrix)
-    coeff = np.linalg.solve(evecs, np.asarray(p0, dtype=complex))
-    times = np.asarray(times, dtype=float)
-    out = np.empty((len(times), 4))
-    for i, t in enumerate(times):
-        out[i] = np.real(evecs @ (coeff * np.exp(evals * t)))
-    return out
+    return Eigensystem.of(rm.matrix).solution(p0)(times).real
 
 
 def recycling_model(params: SystemParams) -> dict[str, float]:
@@ -202,8 +197,6 @@ def dressed_populations(states: np.ndarray, space, db: DressedBasis) -> np.ndarr
     ``states`` has shape (n, d, d) over ``space``; the dressed vectors are
     embedded at zero photons.
     """
-    from .liouville import ground_state_vectors
-
     ground = ground_state_vectors(space)
     base = np.column_stack([ground[name] for name in GROUND_LABELS])
     dressed_vecs = db.transform() @ base.T  # rows are dressed kets in full space

@@ -4,11 +4,12 @@ import pytest
 from cavsinglet.errors import (
     DegenerateSteadyStateError,
     DimensionMismatchError,
-    StepSizeError,
+    NumericalInstabilityError,
 )
 from cavsinglet.hilbert import OperatorMatrix, build_space, named_state
 from cavsinglet.liouville import (
     DensityMatrix,
+    LiouvillianMatrix,
     apply_generator,
     evolve_spectral,
     fidelity,
@@ -25,6 +26,23 @@ from cavsinglet.liouville import (
 )
 from cavsinglet.model import MasterEquation, SystemParams, build_master_equation
 from cavsinglet.schemes import SchemeId, preset
+
+
+def rk4_states(mat, rho0, t_final, dt):
+    """Fixed-step 4th-order Runge-Kutta states at every step: an independent
+    reference for the exact evolution."""
+    n_steps = round(t_final / dt)
+    h = t_final / n_steps
+    v = vec(rho0.mat)
+    out = [v]
+    for _ in range(n_steps):
+        k1 = mat @ v
+        k2 = mat @ (v + 0.5 * h * k1)
+        k3 = mat @ (v + 0.5 * h * k2)
+        k4 = mat @ (v + h * k3)
+        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(v)
+    return unvec(np.array(out), rho0.mat.shape[0])
 
 
 def random_master_equation(space, rng, n_lindblads=3):
@@ -156,17 +174,27 @@ class TestPropagate:
         assert np.all(np.diff(coarse) > -0.01)
         assert abs(p_s[-1] - fidelity(rho_ss, named_state(me.space, "S"))) < 1e-4
 
-    def test_step_halving_recovers_from_large_dt(self, s1_master):
+    def test_matches_reference_rk4(self, s1_master, s1_liouvillian):
         rho0 = mixed_ground_state(s1_master.space)
-        traj = propagate(s1_master, rho0, 10.0, 4.0)  # unstable at dt = 4
-        assert traj.dt < 4.0
-        ref = propagate(s1_master, rho0, 10.0, 0.05)
-        assert np.abs(traj.states[-1] - ref.states[-1]).max() < 1e-3
+        traj = propagate(s1_master, rho0, 50.0, 0.05)
+        ref = rk4_states(s1_liouvillian.mat, rho0, 50.0, 0.05)
+        assert traj.states.shape == ref.shape  # 1000 steps: every one sampled
+        assert np.abs(traj.states - ref).max() < 1e-8
 
-    def test_step_size_error_when_no_halvings_allowed(self, s1_master):
+    def test_large_dt_only_coarsens_the_grid(self, s1_master):
         rho0 = mixed_ground_state(s1_master.space)
-        with pytest.raises(StepSizeError):
-            propagate(s1_master, rho0, 50.0, 25.0, max_halvings=0)
+        traj = propagate(s1_master, rho0, 10.0, 4.0)
+        assert traj.dt == pytest.approx(10.0 / 3.0)
+        assert traj.times == pytest.approx([0.0, 10.0 / 3.0, 20.0 / 3.0, 10.0])
+        ref = propagate(s1_master, rho0, 10.0, 0.05)
+        assert np.abs(traj.states[-1] - ref.states[-1]).max() < 1e-10
+
+    def test_sample_grid(self, s1_master):
+        # 80,000 steps of h = 0.05, every 80th one sampled
+        traj = propagate(s1_master, mixed_ground_state(s1_master.space), 4000.0, 0.05)
+        assert traj.dt == 0.05
+        assert len(traj.times) == 1001
+        assert traj.times[1] == 80 * 0.05 and traj.times[-1] == 4000.0
 
     def test_rejects_bad_arguments(self, s1_master):
         rho0 = mixed_ground_state(s1_master.space)
@@ -217,9 +245,28 @@ class TestFidelity:
 class TestSpectralEvolution:
     def test_matches_rk4(self, s1_master, s1_liouvillian):
         rho0 = mixed_ground_state(s1_master.space)
-        traj = propagate(s1_master, rho0, 50.0, 0.05)
-        states = evolve_spectral(s1_liouvillian, rho0, [traj.times[-1]])
-        assert np.abs(states[0] - traj.states[-1]).max() < 1e-8
+        ref = rk4_states(s1_liouvillian.mat, rho0, 50.0, 0.05)
+        states = evolve_spectral(s1_liouvillian, rho0, [25.0, 50.0])
+        assert np.abs(states - ref[[500, 1000]]).max() < 1e-8
+
+    def test_initial_slope_matches_apply_generator(self, s1_master, s1_liouvillian):
+        x = np.random.default_rng(7).normal(size=(12, 24)).view(complex)
+        rho = x @ x.conj().T
+        rho0 = DensityMatrix(s1_master.space, rho / np.trace(rho))
+        h = 1e-4
+        before, after = evolve_spectral(s1_liouvillian, rho0, [-h, h])
+        slope = (after - before) / (2.0 * h)
+        assert np.abs(slope - apply_generator(s1_master, rho0.mat)).max() < 1e-6
+
+    def test_defective_generator_raises(self, s1_master):
+        # a 2x2 Jordan block has a single eigenvector, so V is singular
+        mat = np.diag(-np.arange(1.0, 145.0)).astype(complex)
+        mat[1, 1] = mat[0, 0]
+        mat[0, 1] = 1.0
+        lv = LiouvillianMatrix(space=s1_master.space, mat=mat)
+        rho0 = mixed_ground_state(s1_master.space)
+        with pytest.raises(NumericalInstabilityError, match=r"cond\(V\)"):
+            evolve_spectral(lv, rho0, [1.0])
 
     def test_time_to_convergence(self, strong_drive_run):
         me, lv, traj, rho_ss = strong_drive_run
