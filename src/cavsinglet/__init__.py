@@ -35,7 +35,6 @@ from .effective import (
     GroundBasis,
     PartitionedModel,
     closed_form_propagators,
-    dressed_shuffling_operators,
     partition,
     reduce,
     reduce_dressed,
@@ -51,7 +50,7 @@ __all__ = [
     "mixed_ground_state", "propagate", "spectral_gap", "steady_state",
     "vectorize",
     "EffectiveModel", "GroundBasis", "PartitionedModel",
-    "closed_form_propagators", "dressed_shuffling_operators", "partition",
+    "closed_form_propagators", "partition",
     "reduce", "reduce_dressed",
     "SchemeId", "gap_analytic", "preset", "static_error",
     "DressedBasis", "RateMatrix", "build_dressed_basis", "build_rates",

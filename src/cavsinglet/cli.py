@@ -125,7 +125,6 @@ def cmd_steady(args) -> int:
     scheme = parse_scheme(args.scheme)
     me = build_master_equation(params)
     lv = liouville.vectorize(me)
-    tol = schemes.WS_DEGENERACY_TOL if scheme is SchemeId.WS else None
     outputs = []
     if scheme is SchemeId.MIX:
         fid = schemes.scheme_numeric_fidelity(
@@ -133,9 +132,9 @@ def cmd_steady(args) -> int:
             Omega=params.Omega,
         )
     else:
-        rho = liouville.steady_state(lv, tol)
+        rho = liouville.steady_state(lv)
         fid = liouville.fidelity(rho, named_state(me.space, "S"))
-    gap = liouville.spectral_gap(lv, tol).gap
+    gap = liouville.spectral_gap(lv).gap
     C = params.cooperativity()
     fid_analytic = 1.0 - schemes.static_error(scheme, C)
     gap_analytic = schemes.gap_analytic(scheme, params)
@@ -179,8 +178,7 @@ def _sweep_point(axis: str, value: float, scheme: SchemeId, args) -> list[list]:
             params = preset(scheme, g=g_, gamma=gamma, kappa=kappa, Omega=value)
             fid = schemes.scheme_numeric_fidelity(scheme, g=g_, gamma=gamma,
                                                   kappa=kappa, Omega=value)
-            tol = schemes.WS_DEGENERACY_TOL if scheme is SchemeId.WS else None
-            gap = (schemes.numeric_gap(params, tol)
+            gap = (schemes.numeric_gap(params)
                    if scheme is not SchemeId.MIX else float("nan"))
             rows.append([axis, value, str(scheme), "full", fid, 1.0 - fid, gap, "ok"])
             rows.append([axis, value, str(scheme), "analytic",
@@ -264,13 +262,11 @@ def cmd_table1(args) -> int:
                 params2 = preset(probe, g=g, gamma=gamma, kappa=kappa, Omega=omega2)
             me = build_master_equation(params2)
             lv = liouville.vectorize(me)
-            tol = schemes.WS_DEGENERACY_TOL if scheme is SchemeId.WS else None
-            report = liouville.spectral_gap(lv, tol)
-            rho_ss = liouville.steady_state(lv, tol)
+            report = liouville.spectral_gap(lv)
+            rho_ss = liouville.steady_state(lv)
             rho0 = liouville.mixed_ground_state(me.space)
             t_conv = liouville.time_to_convergence(lv, rho0, rho_ss,
-                                                   threshold=0.01,
-                                                   gap_hint=report.gap)
+                                                   threshold=0.01)
             t_us = microseconds(t_conv, args.g_mhz)
             rows.append([str(scheme), static, fid, report.gap, t_us,
                          "yes" if schemes.needs_confinement(scheme) else "no"])

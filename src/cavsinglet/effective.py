@@ -273,9 +273,10 @@ def _dark_projector(pm: PartitionedModel) -> np.ndarray:
                                    delta=0.0, beta=0.0, b=0.0)
     ac = build_He(zero_drive, pm.space).mat
     idx = pm.excited_idx
-    block = ac[np.ix_(idx, idx)]
-    _, svals, vh = scipy.linalg.svd(block)
-    null = vh[svals <= 1e-12 * max(svals[0], 1.0)].conj().T
+    # the exchange block is Hermitian: its null space is the eigenspace of
+    # the eigenvalues that vanish on the block's own scale
+    w, v = np.linalg.eigh(ac[np.ix_(idx, idx)])
+    null = v[:, np.abs(w) <= 1e-12 * max(np.abs(w).max(), 1.0)]
     proj = np.zeros((pm.space.dim, pm.space.dim), dtype=complex)
     proj[np.ix_(idx, idx)] = null @ null.conj().T
     return proj
@@ -440,10 +441,3 @@ def simplified_dark_state_operators(
         2.0 * _ket_bra("11", "11") + _ket_bra("T", "T") + _ket_bra("S", "S")
     )
     return EffectiveModel(ground, h_eff, l_effs, dressed=dressed)
-
-
-def dressed_shuffling_operators(
-    params: SystemParams, space: HilbertSpace | None = None
-) -> EffectiveModel:
-    """Closed-form dressed operators in the bare triplet (shuffling) basis."""
-    return simplified_dark_state_operators(params, space, dressed=True)

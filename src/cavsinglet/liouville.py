@@ -8,7 +8,6 @@ rho.reshape(-1, order="F")`` and the superoperator of ``A rho B`` is
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -93,13 +92,15 @@ class Eigensystem:
 class LiouvillianMatrix:
     """dim^2 x dim^2 generator acting on column-stacked density matrices.
 
-    Its spectrum is computed on first use and kept: ``eigenvalues()`` (from
-    ``eigvals``, about half the cost of ``eig``) serves gaps and steady
-    states, ``eigensystem()`` serves time evolution.
+    Its factorizations are computed on first use and kept: ``bordered_lu()``
+    serves the steady state and the uniqueness test, ``eigenvalues()`` (from
+    ``eigvals``, about half the cost of ``eig``) serves gaps, and
+    ``eigensystem()`` serves time evolution.
     """
 
     space: object
     mat: np.ndarray
+    _bordered: tuple | None = field(default=None, init=False, repr=False)
     _eigenvalues: np.ndarray | None = field(default=None, init=False, repr=False)
     _eigensystem: Eigensystem | None = field(default=None, init=False, repr=False)
 
@@ -107,9 +108,35 @@ class LiouvillianMatrix:
     def dim(self) -> int:
         return self.space.dim
 
+    def bordered_lu(self) -> tuple[np.ndarray, np.ndarray]:
+        """LU factors of L with row 0 replaced by the trace functional vec(I).
+
+        Solving against e_0 gives the unit-trace stationary state (the
+        trace-bordered solve of QuTiP's ``steadystate``).  The stationary
+        state is unique iff the factors' reciprocal condition estimate is at
+        least machine epsilon; otherwise ``DegenerateSteadyStateError``
+        reports the nullity of L.
+        """
+        if self._bordered is None:
+            a = self.mat.copy()
+            a[0] = vec(np.eye(self.dim))
+            lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+            gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
+            rcond, _ = gecon(lu, np.linalg.norm(a, 1))
+            object.__setattr__(self, "_bordered", (lu, piv, float(rcond)))
+        lu, piv, rcond = self._bordered
+        if not rcond >= np.finfo(float).eps:
+            raise DegenerateSteadyStateError(
+                self.mat.shape[0] - int(np.linalg.matrix_rank(self.mat)))
+        return lu, piv
+
     def eigenvalues(self) -> np.ndarray:
         if self._eigenvalues is None:
-            values = scipy.linalg.eigvals(self.mat)
+            try:
+                values = scipy.linalg.eigvals(self.mat)
+            except scipy.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+                raise NumericalInstabilityError(
+                    f"eigendecomposition failed: {exc}") from exc
             values.flags.writeable = False
             object.__setattr__(self, "_eigenvalues", values)
         return self._eigenvalues
@@ -154,49 +181,19 @@ class SpectrumReport:
 
     eigenvalues: np.ndarray
     gap: float
-    steady_dim: int
-    degeneracy_tol: float
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "gap": self.gap,
-            "steady_dim": self.steady_dim,
-            "degeneracy_tol": self.degeneracy_tol,
-            "eigenvalues": [[float(z.real), float(z.imag)] for z in self.eigenvalues],
-        })
 
 
-def spectral_gap(lv: LiouvillianMatrix, degeneracy_tol: float | None = None) -> SpectrumReport:
-    """Smallest nonzero |Re| eigenvalue of the generator.
+def spectral_gap(lv: LiouvillianMatrix) -> SpectrumReport:
+    """|Re| of the slowest decaying eigenvalue of the generator.
 
-    Raises ``DegenerateSteadyStateError`` when every eigenvalue sits below
-    the degeneracy tolerance (gap undefined).
+    Uniqueness of the stationary state is checked on ``lv.bordered_lu()``
+    (``DegenerateSteadyStateError`` otherwise); the single eigenvalue with
+    the smallest |Re| is then the stationary one, and the next gives the gap.
     """
-    try:
-        eigs = lv.eigenvalues()
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        cond = np.linalg.cond(lv.mat)
-        raise NumericalInstabilityError(
-            f"eigendecomposition failed (cond ~ {cond:.2e}): {exc}"
-        ) from exc
-    re = np.abs(eigs.real)
-    if degeneracy_tol is None:
-        degeneracy_tol = 1e-9 * (re.max() if re.max() > 0 else 1.0)
-    order = np.argsort(re, kind="stable")
-    eigs = eigs[order]
-    re = re[order]
-    steady_dim = int((re <= degeneracy_tol).sum())
-    decaying = re[re > degeneracy_tol]
-    if decaying.size == 0:
-        raise DegenerateSteadyStateError(
-            steady_dim, f"gap undefined: all {steady_dim} eigenvalues within tolerance"
-        )
-    return SpectrumReport(
-        eigenvalues=eigs,
-        gap=float(decaying.min()),
-        steady_dim=steady_dim,
-        degeneracy_tol=float(degeneracy_tol),
-    )
+    lv.bordered_lu()
+    eigs = lv.eigenvalues()
+    eigs = eigs[np.argsort(np.abs(eigs.real), kind="stable")]
+    return SpectrumReport(eigenvalues=eigs, gap=float(abs(eigs[1].real)))
 
 
 @dataclass(frozen=True)
@@ -249,28 +246,25 @@ def mixed_ground_state(space) -> DensityMatrix:
     return DensityMatrix(space, mat)
 
 
-def steady_state(
-    lv: LiouvillianMatrix, degeneracy_tol: float | None = None
-) -> DensityMatrix:
-    """Unique stationary state from the null space of the generator.
+def steady_state(lv: LiouvillianMatrix) -> DensityMatrix:
+    """Unique stationary state, from the trace-bordered solve of
+    ``lv.bordered_lu()``, Hermitized and trace-normalized.
 
-    The stationary manifold dimension is taken from the spectrum; the state
-    itself comes from an SVD null vector, Hermitized and trace-normalized.
+    Raises ``NumericalInstabilityError`` if the solution leaves a relative
+    residual ||L x|| above 1e-10 ||L|| ||x|| or has an eigenvalue below -1e-6.
     """
-    report = spectral_gap(lv, degeneracy_tol)
-    if report.steady_dim != 1:
-        raise DegenerateSteadyStateError(report.steady_dim)
-    _, svals, vh = scipy.linalg.svd(lv.mat)
-    if svals[-1] > 1e-10 * svals[0]:
+    rhs = np.zeros(lv.mat.shape[0], dtype=complex)
+    rhs[0] = 1.0
+    x = scipy.linalg.lu_solve(lv.bordered_lu(), rhs, check_finite=False)
+    residual = np.linalg.norm(lv.mat @ x)
+    bound = 1e-10 * np.linalg.norm(lv.mat, 1) * np.linalg.norm(x)
+    if not residual <= bound:
         raise NumericalInstabilityError(
-            f"no numeric null vector: smallest singular value {svals[-1]:.3e}"
+            f"steady-state residual {residual:.3e} exceeds {bound:.3e}"
         )
-    rho = unvec(vh[-1].conj(), lv.dim)
+    rho = unvec(x, lv.dim)
     rho = 0.5 * (rho + rho.conj().T)
-    tr = np.trace(rho).real
-    if abs(tr) < 1e-14:
-        raise NumericalInstabilityError("null vector is traceless")
-    rho = rho / tr
+    rho = rho / np.trace(rho).real
     w = np.linalg.eigvalsh(rho)
     if w.min() < -1e-6:
         raise NumericalInstabilityError(
@@ -370,18 +364,16 @@ def time_to_convergence(
     rho0: DensityMatrix,
     rho_ss: DensityMatrix,
     threshold: float = 0.01,
-    gap_hint: float | None = None,
 ) -> float:
     """First time with trace distance to the steady state <= threshold."""
-    if gap_hint is None:
-        gap_hint = spectral_gap(lv).gap
+    gap = spectral_gap(lv).gap
     solution = lv.eigensystem().solution(vec(rho0.mat))
 
     def distances(times) -> list[float]:
         return [trace_distance(DensityMatrix(lv.space, s), rho_ss)
                 for s in unvec(solution(times), lv.dim)]
 
-    t_hi = 30.0 / gap_hint
+    t_hi = 30.0 / gap
     grid = np.geomspace(t_hi * 1e-4, t_hi, 160)
     for i, dist in enumerate(distances(grid)):
         if dist <= threshold:

@@ -329,23 +329,16 @@ def asymmetry_error(alpha: float) -> float:
 
 # -- numeric workflows shared by the CLI and the test suite -----------------
 
-# The far-detuned WS model mixes rates across many orders of magnitude; its
-# slow mode falls below the relative degeneracy tolerance at high
-# cooperativity while staying well above the eigenvalue noise floor, so WS
-# runs use a small absolute tolerance instead.
-WS_DEGENERACY_TOL = 2e-12
-
-
-def numeric_fidelity(params: SystemParams, degeneracy_tol: float | None = None) -> float:
+def numeric_fidelity(params: SystemParams) -> float:
     """Full-model steady-state fidelity with the singlet."""
     me = build_master_equation(params)
-    rho = liouville.steady_state(liouville.vectorize(me), degeneracy_tol)
+    rho = liouville.steady_state(liouville.vectorize(me))
     return liouville.fidelity(rho, named_state(me.space, "S", photon=0))
 
 
-def numeric_gap(params: SystemParams, degeneracy_tol: float | None = None) -> float:
+def numeric_gap(params: SystemParams) -> float:
     me = build_master_equation(params)
-    return liouville.spectral_gap(liouville.vectorize(me), degeneracy_tol).gap
+    return liouville.spectral_gap(liouville.vectorize(me)).gap
 
 
 def scheme_numeric_fidelity(
@@ -367,10 +360,8 @@ def scheme_numeric_fidelity(
             for s in (SchemeId.T0, SchemeId.S0)
         ]
         return 1.0 - 0.5 * sum(errs)
-    tol = WS_DEGENERACY_TOL if scheme is SchemeId.WS else None
     return numeric_fidelity(
-        preset(scheme, g=g, gamma=gamma, kappa=kappa, Omega=Omega), tol
-    )
+        preset(scheme, g=g, gamma=gamma, kappa=kappa, Omega=Omega))
 
 
 def drive_for_dynamic_error(
@@ -379,7 +370,6 @@ def drive_for_dynamic_error(
     g: float = 1.0,
     gamma: float | None = None,
     kappa: float | None = None,
-    max_iter: int = 40,
 ) -> float:
     """Drive strength at which the dynamic (driving-induced) error reaches
     ``target``, by inversion for S1 and bisection on the numeric steady-state
@@ -418,12 +408,10 @@ def drive_for_dynamic_error(
                 f"could not bracket a {target:.3g} dynamic error for {scheme} "
                 f"(reached Omega = {hi:.3g})"
             )
-        for _ in range(max_iter):
+        while hi - lo >= 1e-3 * hi:
             mid = 0.5 * (lo + hi)
             if dynamic_error(mid) < target:
                 lo = mid
             else:
                 hi = mid
-            if hi - lo < 1e-3 * hi:
-                break
     return 0.5 * (lo + hi)

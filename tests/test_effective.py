@@ -8,7 +8,6 @@ from cavsinglet.effective import (
     GROUND_LABELS,
     build_hnh,
     closed_form_propagators,
-    dressed_shuffling_operators,
     effective_rates,
     ground_hamiltonian_block,
     invert_hnh,
@@ -284,7 +283,7 @@ class TestReduceDressed:
 class TestDressedShufflingOperators:
     def test_weak_limit(self, s1_params):
         params = s1_params.replace(Omega_MW=0.0, beta=0.0)
-        dressed = dressed_shuffling_operators(params)
+        dressed = effective.simplified_dark_state_operators(params, dressed=True)
         weak = effective.simplified_dark_state_operators(params, dressed=False)
         for name in ("gamma0_1", "gamma0_2", "gamma1_1", "gamma1_2"):
             assert np.abs(dressed.L_effs[name] - weak.L_effs[name]).max() < 1e-15
@@ -317,7 +316,8 @@ class TestDressedShufflingOperators:
         traj_full = liouville.propagate(
             me_full, liouville.mixed_ground_state(me_full.space), 1500.0, 0.1
         )
-        me_shuf = dressed_shuffling_operators(params).as_master_equation()
+        me_shuf = effective.simplified_dark_state_operators(
+            params, dressed=True).as_master_equation()
         traj_shuf = liouville.propagate(
             me_shuf, liouville.mixed_ground_state(me_shuf.space), 1500.0, 0.1
         )

@@ -168,7 +168,7 @@ class TestAnalyticGap:
         # see the decisions ledger
         gamma, kappa = cavity_rates_for_cooperativity(50.0)
         p = preset("WS", gamma=gamma, kappa=kappa, Omega=gamma / 5)
-        num = numeric_gap(p, degeneracy_tol=2e-12)
+        num = numeric_gap(p)
         ana = gap_analytic("WS", p)
         assert 0.5 < num / ana < 2.0
 
