@@ -262,17 +262,18 @@ def cmd_table1(args) -> int:
                 params2 = preset(probe, g=g, gamma=gamma, kappa=kappa, Omega=omega2)
             me = build_master_equation(params2)
             lv = liouville.vectorize(me)
-            report = liouville.spectral_gap(lv)
             rho_ss = liouville.steady_state(lv)
             rho0 = liouville.mixed_ground_state(me.space)
             t_conv = liouville.time_to_convergence(lv, rho0, rho_ss,
                                                    threshold=0.01)
+            # after time_to_convergence, so the gap reuses its eigensystem
+            gap = liouville.spectral_gap(lv).gap
             t_us = microseconds(t_conv, args.g_mhz)
-            rows.append([str(scheme), static, fid, report.gap, t_us,
+            rows.append([str(scheme), static, fid, gap, t_us,
                          "yes" if schemes.needs_confinement(scheme) else "no"])
             print(f"{scheme!s:9s} static {static:.4f}  fidelity {fid:.4f}  "
-                  f"gap@2% {report.gap:.2e} g  t@2% {t_us:.1f} us "
-                  f"(1/gap = {microseconds(1.0 / report.gap, args.g_mhz):.1f} us)  "
+                  f"gap@2% {gap:.2e} g  t@2% {t_us:.1f} us "
+                  f"(1/gap = {microseconds(1.0 / gap, args.g_mhz):.1f} us)  "
                   f"confinement {'yes' if schemes.needs_confinement(scheme) else 'no'}")
         except Exception as exc:  # noqa: BLE001 - report per scheme
             failed = True

@@ -6,6 +6,13 @@ Basis labels are triples ``(atom1, atom2, photon)`` with atomic levels
 photon number ascending; a truncation rule may drop labels whose total
 excitation number (atoms in ``e`` plus photons) exceeds a cap.  All objects
 are immutable after construction and safe to share between threads.
+
+``build_space`` returns one shared ``HilbertSpace`` per ``(n_max,
+max_excitations)``.  The space caches its parameter-independent embedded
+operators (``atom_op_full``, ``annihilator_full``): each is computed on first
+use, marked read-only, and only then published with ``dict.setdefault``, so
+no cached array is ever written.  Threads that race on a first use may both
+compute it; the first stored copy wins and every caller gets that one.
 """
 
 from __future__ import annotations
@@ -68,6 +75,8 @@ class HilbertSpace:
         self.index_map: dict[Label, int] = {lb: i for i, lb in enumerate(kept)}
         self._full_index = {lb: i for i, lb in enumerate(self.full_labels)}
         self._keep = np.array([self._full_index[lb] for lb in kept], dtype=int)
+        self._kept_block = np.ix_(self._keep, self._keep)
+        self._operators: dict = {}
 
     @property
     def dim(self) -> int:
@@ -104,28 +113,41 @@ class HilbertSpace:
 
     def restrict(self, full_matrix: np.ndarray) -> np.ndarray:
         """Project a full-product-space matrix onto the retained basis."""
-        return full_matrix[np.ix_(self._keep, self._keep)]
+        return full_matrix[self._kept_block]
 
     def expand(self, matrix: np.ndarray) -> np.ndarray:
         """Zero-pad a truncated-space matrix back into the full product space."""
         out = np.zeros((self.full_dim, self.full_dim), dtype=complex)
-        out[np.ix_(self._keep, self._keep)] = matrix
+        out[self._kept_block] = matrix
         return out
 
     # -- single-site operators in the full product space --------------------
 
+    def _cached(self, key, build) -> np.ndarray:
+        """Read-only result of ``build()``, computed once per ``key``."""
+        op = self._operators.get(key)
+        if op is None:
+            op = build()
+            op.flags.writeable = False
+            op = self._operators.setdefault(key, op)
+        return op
+
     def atom_op_full(self, op3: np.ndarray, site: int) -> np.ndarray:
-        """Embed a 3x3 atomic operator at atom ``site`` (1 or 2), full space."""
+        """Embed a 3x3 atomic operator at atom ``site`` (1 or 2), full space.
+
+        The result is cached per operator and site, and read-only.
+        """
         op3 = np.asarray(op3, dtype=complex)
         if op3.shape != (3, 3):
             raise DimensionMismatchError(f"atomic operator must be 3x3, got {op3.shape}")
-        eye3 = np.eye(3)
-        eyep = np.eye(self.n_max + 1)
-        if site == 1:
-            return np.kron(op3, np.kron(eye3, eyep))
-        if site == 2:
-            return np.kron(eye3, np.kron(op3, eyep))
-        raise ValueError(f"site must be 1 or 2, got {site}")
+        if site not in (1, 2):
+            raise ValueError(f"site must be 1 or 2, got {site}")
+
+        def embed():
+            atoms = (op3, np.eye(3)) if site == 1 else (np.eye(3), op3)
+            return np.kron(np.kron(*atoms), np.eye(self.n_max + 1))
+
+        return self._cached(("atom", site, op3.tobytes()), embed)
 
     def photon_op_full(self, opf: np.ndarray) -> np.ndarray:
         """Embed an (n_max+1) x (n_max+1) cavity operator, full space."""
@@ -138,12 +160,10 @@ class HilbertSpace:
         return np.kron(np.eye(9), opf)
 
     def annihilator_full(self) -> np.ndarray:
-        """Cavity annihilation operator a in the full product space."""
-        nf = self.n_max + 1
-        a = np.zeros((nf, nf), dtype=complex)
-        for n in range(1, nf):
-            a[n - 1, n] = math.sqrt(n)
-        return self.photon_op_full(a)
+        """Cavity annihilation operator a in the full product space (cached,
+        read-only)."""
+        return self._cached("a", lambda: self.photon_op_full(
+            np.diag(np.sqrt(np.arange(1.0, self.n_max + 1)), k=1)))
 
     @staticmethod
     def atom_transition(upper: str, lower: str) -> np.ndarray:
@@ -153,9 +173,17 @@ class HilbertSpace:
         return op
 
 
+_SPACES: dict[tuple[int, int | None], HilbertSpace] = {}
+
+
 def build_space(n_max: int = 1, max_excitations: int | None = None) -> HilbertSpace:
-    """Construct the tensor-product space with deterministic basis ordering."""
-    return HilbertSpace(n_max, max_excitations)
+    """The shared tensor-product space for ``(n_max, max_excitations)``, with
+    deterministic basis ordering."""
+    key = (n_max, max_excitations)
+    space = _SPACES.get(key)
+    if space is None:
+        space = _SPACES.setdefault(key, HilbertSpace(n_max, max_excitations))
+    return space
 
 
 class OperatorMatrix:

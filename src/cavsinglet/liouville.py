@@ -93,9 +93,10 @@ class LiouvillianMatrix:
     """dim^2 x dim^2 generator acting on column-stacked density matrices.
 
     Its factorizations are computed on first use and kept: ``bordered_lu()``
-    serves the steady state and the uniqueness test, ``eigenvalues()`` (from
-    ``eigvals``, about half the cost of ``eig``) serves gaps, and
-    ``eigensystem()`` serves time evolution.
+    serves the steady state and the uniqueness test, ``eigensystem()`` serves
+    time evolution, and ``eigenvalues()`` serves gaps, from the eigensystem
+    when one was built first and otherwise from ``eigvals`` (about half the
+    cost of ``eig``).
     """
 
     space: object
@@ -131,12 +132,16 @@ class LiouvillianMatrix:
         return lu, piv
 
     def eigenvalues(self) -> np.ndarray:
+        """The eigensystem's values if it exists, else ``eigvals``; kept."""
         if self._eigenvalues is None:
-            try:
-                values = scipy.linalg.eigvals(self.mat)
-            except scipy.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-                raise NumericalInstabilityError(
-                    f"eigendecomposition failed: {exc}") from exc
+            if self._eigensystem is not None:
+                values = self._eigensystem.values
+            else:
+                try:
+                    values = scipy.linalg.eigvals(self.mat)
+                except scipy.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+                    raise NumericalInstabilityError(
+                        f"eigendecomposition failed: {exc}") from exc
             values.flags.writeable = False
             object.__setattr__(self, "_eigenvalues", values)
         return self._eigenvalues
@@ -162,17 +167,29 @@ def apply_generator(me: MasterEquation, rho: np.ndarray) -> np.ndarray:
 
 
 def vectorize(me: MasterEquation) -> LiouvillianMatrix:
-    """Column-stacking superoperator of the master equation."""
+    """Column-stacking superoperator of the master equation,
+
+        L = sum_k conj(L_k) (x) L_k - i I (x) H_eff + i conj(H_eff) (x) I,
+
+    with H_eff = H - (i/2) sum_k L_k^dag L_k, assembled in one pass.
+
+    Seen as a (d, d, d, d) array ``[i, j, k, l]`` (row ``i d + j``, column
+    ``k d + l``), the jump sum is one (K x d^2)^H (K x d^2) product and the
+    two H_eff terms are added into the ``[i, :, i, :]`` and ``[:, j, :, j]``
+    slices, so no Kronecker product is formed.
+    """
     h = me.H.mat
     d = h.shape[0]
-    eye = np.eye(d)
-    mat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for op in me.lindblads.values():
-        l = op.mat
-        ldl = l.conj().T @ l
-        mat += np.kron(l.conj(), l)
-        mat -= 0.5 * (np.kron(eye, ldl) + np.kron(ldl.T, eye))
-    return LiouvillianMatrix(space=me.space, mat=mat)
+    jumps = np.array([op.mat for op in me.lindblads.values()],
+                     dtype=complex).reshape(-1, d, d)
+    h_eff = h - 0.5j * np.tensordot(jumps.conj(), jumps, axes=([0, 1], [0, 1]))
+    flat = jumps.reshape(-1, d * d)
+    # (flat^H flat)[(i, k), (j, l)] = sum_n conj(L_n[i, k]) L_n[j, l]
+    blocks = (flat.conj().T @ flat).reshape(d, d, d, d).transpose(0, 2, 1, 3).copy()
+    r = np.arange(d)
+    blocks[r, :, r, :] -= 1j * h_eff
+    blocks[:, r, :, r] += 1j * h_eff.conj()
+    return LiouvillianMatrix(space=me.space, mat=blocks.reshape(d * d, d * d))
 
 
 @dataclass(frozen=True)
@@ -365,9 +382,13 @@ def time_to_convergence(
     rho_ss: DensityMatrix,
     threshold: float = 0.01,
 ) -> float:
-    """First time with trace distance to the steady state <= threshold."""
-    gap = spectral_gap(lv).gap
+    """First time with trace distance to the steady state <= threshold.
+
+    The eigensystem is built before the gap is read, so the gap comes from
+    its eigenvalues and the generator is decomposed once.
+    """
     solution = lv.eigensystem().solution(vec(rho0.mat))
+    gap = spectral_gap(lv).gap
 
     def distances(times) -> list[float]:
         return [trace_distance(DensityMatrix(lv.space, s), rho_ss)

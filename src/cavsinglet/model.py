@@ -4,7 +4,9 @@ three-level atoms in a lossy single-mode cavity.
 All rates are angular frequencies in units of the mean atom-cavity coupling
 ``g`` (the presets set g = 1).  Each Hamiltonian term is assembled in the
 full product space and projected onto the truncated basis afterwards, so
-couplings between retained states are exact.
+couplings between retained states are exact.  The embedded single-site
+operators come from the space's read-only cache, so a model build only
+combines them with its parameters.
 """
 
 from __future__ import annotations

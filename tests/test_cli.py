@@ -97,9 +97,12 @@ def test_sweep_asymmetry_csv(tmp_path, monkeypatch):
     assert all(r[-1] == "ok" for r in rows)
 
 
-def test_sweep_deterministic_bytes(tmp_path):
+def test_sweep_deterministic_bytes(tmp_path, monkeypatch):
+    # the pool size must not change the bytes: worker threads share one
+    # cached space per (n_max, max_excitations)
     outs = []
-    for name in ("a.csv", "b.csv"):
+    for name, threads in (("a.csv", "1"), ("b.csv", "4")):
+        monkeypatch.setenv("LE_THREADS", threads)
         path = tmp_path / name
         assert main([
             "sweep", "--axis", "cooperativity", "--start", "20", "--stop",

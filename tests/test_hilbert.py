@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -149,3 +152,54 @@ def test_json_dumps():
     s = named_state(space, "S")
     assert '"amplitudes"' in s.to_json()
     assert '"entries"' in s.outer().to_json()
+
+
+def test_spaces_are_shared():
+    assert build_space(1, 1) is build_space(1, 1)
+    assert build_space(1) is build_space(1, None)
+    assert build_space(1, 1) is not build_space(1, None)
+
+
+def test_cached_operators_are_read_only():
+    space = build_space(1, 1)
+    a = space.annihilator_full()
+    sigma = space.atom_op_full(HilbertSpace.atom_transition("e", "0"), 2)
+    assert space.annihilator_full() is a
+    assert space.atom_op_full(HilbertSpace.atom_transition("e", "0"), 2) is sigma
+    with pytest.raises(ValueError):
+        a += 1.0
+    with pytest.raises(ValueError):
+        sigma[0, 0] = 1.0
+    assert a[0, 0] == 0.0 and sigma[0, 0] == 0.0
+
+
+def test_cached_operators_match_kron():
+    space = build_space(2, None)
+    op3 = np.arange(9.0).reshape(3, 3) + 1j
+    eye3, eyef = np.eye(3), np.eye(3)
+    assert np.array_equal(space.atom_op_full(op3, 1),
+                          np.kron(op3, np.kron(eye3, eyef)))
+    assert np.array_equal(space.atom_op_full(op3, 2),
+                          np.kron(eye3, np.kron(op3, eyef)))
+    a = np.diag([1.0, np.sqrt(2.0)], k=1)
+    assert np.array_equal(space.annihilator_full(), np.kron(np.eye(9), a))
+    with pytest.raises(ValueError):
+        space.atom_op_full(op3, 3)
+
+
+def test_operator_cache_hands_every_thread_one_array():
+    space = HilbertSpace(1, 1)  # a fresh space, so the threads race to fill it
+    ops = [HilbertSpace.atom_transition(u, l) for u in "01e" for l in "01e"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(
+                lambda k: space.atom_op_full(ops[k % 9], 1 + k % 2),
+                range(360), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    # 18 distinct (operator, site) keys; every call for a key gets one array
+    for k, op in enumerate(results):
+        assert op is results[k % 18]
+        assert not op.flags.writeable

@@ -2,9 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cavsinglet import effective
 from cavsinglet.errors import (
     DegenerateSteadyStateError,
     DimensionMismatchError,
@@ -72,6 +74,40 @@ class TestVectorize:
             direct = apply_generator(me, rho)
             via_matrix = unvec(lv.mat @ vec(rho), 12)
             assert np.abs(direct - via_matrix).max() < 1e-12
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        scheme=st.sampled_from(["S1", "S0", "T1", "T0", "WS"]),
+        log10_c=st.floats(1.0, 3.0),
+        omega_over_gamma=st.floats(0.05, 0.5),
+    )
+    def test_matches_apply_generator_over_cli_domain(
+            self, scheme, log10_c, omega_over_gamma):
+        gamma, kappa = cavity_rates_for_cooperativity(10.0 ** log10_c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # regime warnings from preset
+            params = preset(scheme, gamma=gamma, kappa=kappa,
+                            Omega=omega_over_gamma * gamma)
+            pm = effective.partition(params)
+            models = [
+                build_master_equation(params, build_space(1, 1)),
+                build_master_equation(params.replace(n_max=2), build_space(2, 2)),
+                effective.reduce(pm).as_master_equation(),
+                effective.reduce_dressed(pm).as_master_equation(),
+            ]
+        rng = np.random.default_rng(11)
+        for me in models:
+            lv = vectorize(me)
+            d = me.dim
+            # WS entries reach ~100, so the tolerance scales with ||L||
+            tol = 1e-12 * np.linalg.norm(lv.mat, 1)
+            for _ in range(2):
+                x = rng.normal(size=(d, 2 * d)).view(complex)
+                rho = x @ x.conj().T
+                rho /= np.trace(rho)
+                direct = apply_generator(me, rho)
+                assert np.abs(unvec(lv.mat @ vec(rho), d) - direct).max() <= tol
+            assert np.abs(vec(np.eye(d)).conj() @ lv.mat).max() <= tol
 
     def test_trace_left_null_vector(self, s1_liouvillian):
         d = s1_liouvillian.dim
@@ -160,6 +196,13 @@ class TestSpectrum:
         sel = (traj.times > 700) & (dist > 1e-10)
         slope = np.polyfit(traj.times[sel], np.log(dist[sel]), 1)[0]
         assert abs(-slope - gap) / gap < 0.2
+
+    def test_gap_reuses_an_existing_eigensystem(self, monkeypatch):
+        lv = vectorize(build_master_equation(preset(SchemeId.S1)))
+        values = lv.eigensystem().values
+        monkeypatch.setattr(scipy.linalg, "eigvals", None)  # must not be called
+        assert np.array_equal(lv.eigenvalues(), values)
+        assert spectral_gap(lv).gap == sorted(abs(values.real))[1]
 
 
 @pytest.fixture(scope="module")

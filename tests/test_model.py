@@ -16,6 +16,7 @@ from cavsinglet.model import (
     make_space,
 )
 from cavsinglet.liouville import apply_generator
+from cavsinglet.schemes import SchemeId, preset
 
 SQ2 = math.sqrt(2.0)
 
@@ -37,6 +38,41 @@ def brute_force_Hg(params, space):
         + np.kron(eye3, np.kron(mw + (params.beta - params.b) * p1, eye2))
     )
     return space.restrict(full)
+
+
+def brute_force_master_equation(params, space):
+    """Independent construction of H and the jump operators from np.kron on
+    the full product space, restricted to ``space``."""
+    eye3, eyef = np.eye(3), np.eye(params.n_max + 1)
+
+    def unit(upper, lower):
+        op = np.zeros((3, 3), dtype=complex)
+        op["01e".index(upper), "01e".index(lower)] = 1.0
+        return op
+
+    def atom(op, site):
+        pair = (op, eye3) if site == 1 else (eye3, op)
+        return np.kron(np.kron(*pair), eyef)
+
+    a = np.kron(np.eye(9), np.diag(np.sqrt(np.arange(1.0, params.n_max + 1)), k=1))
+    ad = a.conj().T
+    h = params.delta * ad @ a
+    couplings = (params.g * (1 + params.alpha), params.g * (1 - params.alpha))
+    phases = (1.0, np.exp(1j * params.phi))
+    for site, sign, gj, phase in zip((1, 2), (1.0, -1.0), couplings, phases):
+        mw = atom(unit("1", "0"), site)
+        exchange = gj * ad @ atom(unit("1", "e"), site)
+        drive = 0.5 * params.Omega * phase * atom(unit("e", "0"), site)
+        h = h + 0.5 * params.Omega_MW * (mw + mw.conj().T) \
+            + (params.beta + sign * params.b) * atom(unit("1", "1"), site) \
+            + params.Delta * atom(unit("e", "e"), site) \
+            + exchange + exchange.conj().T + drive + drive.conj().T
+    jumps = {"kappa": math.sqrt(params.kappa) * a}
+    for target in "01":
+        for site in (1, 2):
+            jumps[f"gamma{target}_{site}"] = \
+                math.sqrt(params.gamma / 2) * atom(unit(target, "e"), site)
+    return space.restrict(h), {k: space.restrict(v) for k, v in jumps.items()}
 
 
 class TestGroundHamiltonian:
@@ -186,6 +222,22 @@ class TestMasterEquation:
         vp, vm = build_V(params, space)
         total = build_Hg(params, space) + build_He(params, space) + vp + vm
         assert (build_hamiltonian(params, space) - total).norm() == 0.0
+
+
+class TestSharedSpace:
+    @pytest.mark.parametrize("n_max, cap", [(1, 1), (2, 2)])
+    def test_presets_in_turn_match_kron_reference(self, n_max, cap):
+        shared = build_space(n_max, cap)
+        first = preset(SchemeId.S1, Omega=0.05).replace(alpha=0.02, delta=-0.01)
+        second = preset(SchemeId.WS, Omega=0.02)
+        for params in (first, second, first):
+            params = params.replace(n_max=n_max)
+            me = build_master_equation(params, shared)
+            h_ref, jumps_ref = brute_force_master_equation(params, shared)
+            assert np.abs(me.H.mat - h_ref).max() < 1e-15
+            assert set(me.lindblads) == set(jumps_ref)
+            for name, op in me.lindblads.items():
+                assert np.abs(op.mat - jumps_ref[name]).max() < 1e-15, name
 
 
 class TestParams:
