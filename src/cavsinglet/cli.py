@@ -31,10 +31,6 @@ from .schemes import SchemeId, parse_scheme, preset
 DEFAULT_G_MHZ = 16.0  # g / 2 pi, reference cavity
 
 
-def _format(x: float) -> str:
-    return f"{x:.11e}"
-
-
 def parse_rate(text: str, gamma: float, kappa: float, g: float = 1.0) -> float:
     """Parse ``0.25``, ``0.1gamma``, ``0.5kappa`` or ``0.02g`` into g units."""
     text = text.strip()
@@ -54,21 +50,25 @@ def _cavity_args(args) -> tuple[float, float, float]:
     return g, gamma, kappa
 
 
-def build_params(args) -> SystemParams:
+def build_components(args) -> list[schemes.Component]:
+    """The scheme's weighted models at the command-line parameters."""
     g, gamma, kappa = _cavity_args(args)
     omega = parse_rate(args.omega, gamma, kappa, g) if args.omega else None
     omega_mw = parse_rate(args.omega_mw, gamma, kappa, g) if args.omega_mw else None
-    params = preset(
-        args.scheme, g=g, gamma=gamma, kappa=kappa, Omega=omega, Omega_MW=omega_mw
-    )
-    overrides = {}
-    for key in ("Delta", "delta", "beta", "phi", "alpha", "b", "n_max"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if overrides:
-        params = params.replace(**overrides)
-    return params
+    overrides = {key: getattr(args, key) for key in
+                 ("Delta", "delta", "beta", "phi", "alpha", "b", "n_max")
+                 if getattr(args, key, None) is not None}
+    return schemes.components(args.scheme, overrides, g=g, gamma=gamma,
+                              kappa=kappa, Omega=omega, Omega_MW=omega_mw)
+
+
+def build_params(args) -> SystemParams:
+    """Parameters of a phase-fixed scheme; a mixture raises ``ValueError``."""
+    comps = build_components(args)
+    if len(comps) > 1:
+        raise ValueError(f"{args.command} needs one model, but {args.scheme} is "
+                         f"a mixture of {' and '.join(str(c.scheme) for c in comps)}")
+    return comps[0].params
 
 
 def config_hash(config: dict) -> str:
@@ -77,11 +77,13 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def run_record(scheme: str, params: SystemParams, outputs: list[dict],
+def run_record(scheme: str, comps: list[schemes.Component], outputs: list[dict],
                config: dict) -> dict:
+    """``params`` are the slowest component's, whose full gap is reported."""
     return {
         "scheme": str(scheme),
-        "params": params.to_dict(),
+        "components": [[c.weight, str(c.scheme)] for c in comps],
+        "params": schemes.slowest(comps).params.to_dict(),
         "outputs": outputs,
         "provenance": {
             "version": __version__,
@@ -99,17 +101,13 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [_format(x) if isinstance(x, float) else x for x in row]
-            )
+        writer.writerows([f"{x:.11e}" if isinstance(x, float) else x for x in row]
+                         for row in rows)
 
 
 def _workers() -> int:
     env = os.environ.get("LE_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
+    return max(1, int(env)) if env else min(4, os.cpu_count() or 1)
 
 
 def microseconds(t_over_g: float, g_mhz: float) -> float:
@@ -121,35 +119,28 @@ def microseconds(t_over_g: float, g_mhz: float) -> float:
 
 
 def cmd_steady(args) -> int:
-    params = build_params(args)
     scheme = parse_scheme(args.scheme)
-    me = build_master_equation(params)
-    lv = liouville.vectorize(me)
-    outputs = []
-    if scheme is SchemeId.MIX:
-        fid = schemes.scheme_numeric_fidelity(
-            scheme, g=params.g, gamma=params.gamma, kappa=params.kappa,
-            Omega=params.Omega,
-        )
-    else:
-        rho = liouville.steady_state(lv)
-        fid = liouville.fidelity(rho, named_state(me.space, "S"))
-    gap = liouville.spectral_gap(lv).gap
+    comps = build_components(args)
+    fid, gap = schemes.fidelity_and_gap(comps)
+    gap_eff = schemes.effective_gap(comps)
+    params = schemes.slowest(comps).params
     C = params.cooperativity()
     fid_analytic = 1.0 - schemes.static_error(scheme, C)
     gap_analytic = schemes.gap_analytic(scheme, params)
-    outputs += [
+    outputs = [
         {"name": "fidelity", "value": fid, "method": "full"},
         {"name": "fidelity", "value": fid_analytic, "method": "analytic"},
         {"name": "gap", "value": gap, "method": "full"},
+        {"name": "gap", "value": gap_eff, "method": "effective"},
         {"name": "gap", "value": gap_analytic, "method": "analytic"},
     ]
     print(f"scheme {scheme}  C = {C:.4g}  Omega = {params.Omega:.4g} g")
     print(f"  fidelity  full {fid:.5f}   analytic {fid_analytic:.5f}   "
           f"deviation {fid - fid_analytic:+.4f}")
-    print(f"  gap       full {gap:.4e} g   analytic {gap_analytic:.4e} g   "
-          f"deviation {(gap - gap_analytic) / gap_analytic:+.2%}")
-    record = run_record(scheme, params, outputs, vars(args) | {"cmd": "steady"})
+    print(f"  gap       full {gap:.4e} g   effective {gap_eff:.4e} g   "
+          f"analytic {gap_analytic:.4e} g   "
+          f"effective deviation {(gap_eff - gap_analytic) / gap_analytic:+.2%}")
+    record = run_record(scheme, comps, outputs, vars(args) | {"cmd": "steady"})
     out = Path(args.record) if args.record else Path(f"steady_{scheme}.json")
     write_record(record, out)
     print(f"record written to {out}")
@@ -167,7 +158,6 @@ def _sweep_point(axis: str, value: float, scheme: SchemeId, args) -> list[list]:
             gamma, kappa = schemes.cavity_rates_for_cooperativity(value, g=g)
             fid = schemes.scheme_numeric_fidelity(scheme, g=g, gamma=gamma,
                                                   kappa=kappa, Omega=gamma / 10.0)
-            params = preset(scheme, g=g, gamma=gamma, kappa=kappa, Omega=gamma / 10.0)
             rows.append([axis, value, str(scheme), "full", fid, 1.0 - fid,
                          float("nan"), "ok"])
             rows.append([axis, value, str(scheme), "analytic",
@@ -175,29 +165,27 @@ def _sweep_point(axis: str, value: float, scheme: SchemeId, args) -> list[list]:
                          schemes.static_error(scheme, value), float("nan"), "ok"])
         elif axis == "drive":
             g_, gamma, kappa = _cavity_args(args)
-            params = preset(scheme, g=g_, gamma=gamma, kappa=kappa, Omega=value)
-            fid = schemes.scheme_numeric_fidelity(scheme, g=g_, gamma=gamma,
-                                                  kappa=kappa, Omega=value)
-            gap = (schemes.numeric_gap(params)
-                   if scheme is not SchemeId.MIX else float("nan"))
+            comps = schemes.components(scheme, g=g_, gamma=gamma, kappa=kappa,
+                                       Omega=value)
+            fid, gap = schemes.fidelity_and_gap(comps)
             rows.append([axis, value, str(scheme), "full", fid, 1.0 - fid, gap, "ok"])
             rows.append([axis, value, str(scheme), "analytic",
                          float("nan"), float("nan"),
-                         schemes.gap_analytic(scheme, params), "ok"])
+                         schemes.gap_analytic(scheme, schemes.slowest(comps).params),
+                         "ok"])
         elif axis == "asymmetry":
             g_, gamma, kappa = _cavity_args(args)
             omega = parse_rate(args.omega, gamma, kappa, g_) if args.omega else None
-            params = preset(scheme, g=g_, gamma=gamma, kappa=kappa,
-                            Omega=omega).replace(alpha=value)
-            fid = schemes.numeric_fidelity(params)
+            fid = schemes.mixture_fidelity(schemes.components(
+                scheme, {"alpha": value}, g=g_, gamma=gamma, kappa=kappa, Omega=omega))
             rows.append([axis, value, str(scheme), "full", fid, 1.0 - fid,
                          float("nan"), "ok"])
             rows.append([axis, value, str(scheme), "analytic", float("nan"),
                          schemes.asymmetry_error(value), float("nan"), "ok"])
         elif axis == "time":
             g_, gamma, kappa = _cavity_args(args)
-            params = preset(scheme, g=g_, gamma=gamma, kappa=kappa)
-            opt = schemes.optimal_drive_for_time(value, params)
+            opt = schemes.optimal_drive_for_time(
+                value, preset(scheme, g=g_, gamma=gamma, kappa=kappa))
             rows.append([axis, value, str(scheme), "analytic",
                          1.0 - opt["error"], opt["error"], opt["Omega_opt"], "ok"])
         else:
@@ -225,12 +213,8 @@ def cmd_sweep(args) -> int:
             for fut, key in futures.items():
                 results[key] = fut.result()
     header = ["axis", "value", "scheme", "method", "fidelity", "error", "gap", "status"]
-    rows = []
-    failed = False
-    for i, v, s in tasks:
-        for row in results[(i, str(s))]:
-            rows.append(row)
-            failed = failed or str(row[-1]).startswith("error")
+    rows = [row for i, _, s in tasks for row in results[(i, str(s))]]
+    failed = any(str(row[-1]).startswith("error") for row in rows)
     out = Path(args.out)
     write_csv(out, header, rows)
     print(f"{len(rows)} rows written to {out}")
@@ -256,25 +240,22 @@ def cmd_table1(args) -> int:
                                                   kappa=kappa, Omega=gamma / 10.0)
             omega2 = schemes.drive_for_dynamic_error(scheme, 0.02, g=g,
                                                      gamma=gamma, kappa=kappa)
-            probe = SchemeId.T0 if scheme is SchemeId.MIX else scheme
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                params2 = preset(probe, g=g, gamma=gamma, kappa=kappa, Omega=omega2)
-            me = build_master_equation(params2)
+            # a static mixture converges at its slowest component's rate
+            me = build_master_equation(schemes.slowest(schemes.components(
+                scheme, g=g, gamma=gamma, kappa=kappa, Omega=omega2)).params)
             lv = liouville.vectorize(me)
-            rho_ss = liouville.steady_state(lv)
-            rho0 = liouville.mixed_ground_state(me.space)
-            t_conv = liouville.time_to_convergence(lv, rho0, rho_ss,
-                                                   threshold=0.01)
+            t_conv = liouville.time_to_convergence(
+                lv, liouville.mixed_ground_state(me.space), liouville.steady_state(lv),
+                threshold=0.01)
             # after time_to_convergence, so the gap reuses its eigensystem
             gap = liouville.spectral_gap(lv).gap
             t_us = microseconds(t_conv, args.g_mhz)
-            rows.append([str(scheme), static, fid, gap, t_us,
-                         "yes" if schemes.needs_confinement(scheme) else "no"])
+            confined = "yes" if schemes.needs_confinement(scheme) else "no"
+            rows.append([str(scheme), static, fid, gap, t_us, confined])
             print(f"{scheme!s:9s} static {static:.4f}  fidelity {fid:.4f}  "
                   f"gap@2% {gap:.2e} g  t@2% {t_us:.1f} us "
                   f"(1/gap = {microseconds(1.0 / gap, args.g_mhz):.1f} us)  "
-                  f"confinement {'yes' if schemes.needs_confinement(scheme) else 'no'}")
+                  f"confinement {confined}")
         except Exception as exc:  # noqa: BLE001 - report per scheme
             failed = True
             rows.append([str(scheme), float("nan"), float("nan"), float("nan"),
@@ -296,7 +277,6 @@ def _initial_state(spec: str, space):
 
 def cmd_trajectory(args) -> int:
     params = build_params(args)
-    scheme = parse_scheme(args.scheme)
     methods = [m.strip() for m in args.methods.split(",")]
     header = ["t", "method", "P_00", "P_T", "P_11", "P_S", "P_excited_total",
               "fidelity"]
@@ -313,25 +293,20 @@ def cmd_trajectory(args) -> int:
                 me = effective.reduce_dressed(
                     effective.partition(params)).as_master_equation()
             elif method == "rate":
-                if scheme is not SchemeId.S1:
+                if parse_scheme(args.scheme) is not SchemeId.S1:
                     raise ValueError("rate model is defined for the S1 scheme only")
                 rm = ratemodel.build_rates(params, dressed=True)
                 db = ratemodel.build_dressed_basis(params.Omega_MW, params.beta)
                 n = max(2, min(1001, int(args.t_final / dt / 50) + 2))
                 times = np.linspace(0.0, args.t_final, n)
-                bare0 = {"mixed": np.full(4, 0.25),
-                         "00": np.eye(4)[0], "T": np.eye(4)[1],
-                         "11": np.eye(4)[2], "S": np.eye(4)[3]}[args.rho0]
-                p0 = (db.transform() ** 2) @ bare0
-                pops = ratemodel.evolve(rm, p0, times)
+                bare0 = np.full(4, 0.25) if args.rho0 == "mixed" else \
+                    np.eye(4)[["00", "T", "11", "S"].index(args.rho0)]
                 # dressed populations map to bare ones through the squared
                 # basis-change amplitudes (diagonal-density approximation)
                 weights = db.transform() ** 2
-                for i, t in enumerate(times):
-                    bare = weights.T @ pops[i]
-                    rows.append([float(t), method, float(bare[0]), float(bare[1]),
-                                 float(bare[2]), float(bare[3]), 0.0,
-                                 float(bare[3])])
+                for t, pops in zip(times, ratemodel.evolve(rm, weights @ bare0, times)):
+                    bare = [float(x) for x in weights.T @ pops]
+                    rows.append([float(t), method, *bare, 0.0, bare[3]])
                 continue
             else:
                 raise ValueError(f"unknown method {method!r}")
@@ -444,7 +419,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # bad arguments, e.g. a mixture given to reduce
+        print(f"cavsinglet {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ compute it; the first stored copy wins and every caller gets that one.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -250,16 +249,6 @@ class OperatorMatrix:
             raise DimensionMismatchError("states live on a different space")
         return complex(bra.vec.conj() @ (self.mat @ ket.vec))
 
-    def to_json(self) -> str:
-        """Row-major dump as [re, im] pairs, for debugging."""
-        payload = {
-            "dim": self.space.dim,
-            "entries": [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.mat
-            ],
-        }
-        return json.dumps(payload)
-
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     return a @ b - b @ a
@@ -314,12 +303,6 @@ class StateVector:
 
     def outer(self) -> OperatorMatrix:
         return OperatorMatrix(self.space, np.outer(self.vec, self.vec.conj()))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"dim": self.space.dim,
-             "amplitudes": [[float(z.real), float(z.imag)] for z in self.vec]}
-        )
 
 
 def basis_vector(space: HilbertSpace, label: Label) -> StateVector:

@@ -365,11 +365,6 @@ def fidelity(rho: DensityMatrix, psi: StateVector) -> float:
     return float(min(1.0, max(0.0, value.real)))
 
 
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    w = np.linalg.eigvalsh(a.mat - b.mat)
-    return 0.5 * float(np.abs(w).sum())
-
-
 def evolve_spectral(lv: LiouvillianMatrix, rho0: DensityMatrix, times) -> np.ndarray:
     """States exp(L t) rho0 at the given times, shape (len(times), dim, dim),
     from the generator's cached eigensystem."""
@@ -390,9 +385,9 @@ def time_to_convergence(
     solution = lv.eigensystem().solution(vec(rho0.mat))
     gap = spectral_gap(lv).gap
 
-    def distances(times) -> list[float]:
-        return [trace_distance(DensityMatrix(lv.space, s), rho_ss)
-                for s in unvec(solution(times), lv.dim)]
+    def distances(times) -> np.ndarray:
+        w = np.linalg.eigvalsh(unvec(solution(times), lv.dim) - rho_ss.mat)
+        return 0.5 * np.abs(w).sum(axis=-1)
 
     t_hi = 30.0 / gap
     grid = np.geomspace(t_hi * 1e-4, t_hi, 160)

@@ -12,7 +12,6 @@ combines them with its parameters.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
@@ -78,40 +77,8 @@ class SystemParams:
     def replace(self, **changes) -> "SystemParams":
         return dataclasses.replace(self, **changes)
 
-    # -- serialization -------------------------------------------------------
-
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in _PARAM_KEYS}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SystemParams":
-        unknown = set(data) - set(_PARAM_KEYS)
-        if unknown:
-            raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
-        kwargs = {k: (int(v) if k == "n_max" else float(v)) for k, v in data.items()}
-        return cls(**kwargs)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SystemParams":
-        return cls.from_dict(json.loads(text))
-
-    def to_config(self) -> str:
-        """Flat ``key = value`` listing, one parameter per line."""
-        return "\n".join(f"{k} = {getattr(self, k)!r}" for k in _PARAM_KEYS) + "\n"
-
-    @classmethod
-    def from_config(cls, text: str) -> "SystemParams":
-        data: dict = {}
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            data[key.strip()] = value.strip()
-        return cls.from_dict(data)
 
 
 def make_space(params: SystemParams, max_excitations: int | None = 1) -> HilbertSpace:

@@ -134,7 +134,8 @@ def test_criterion_3_spectral_gap(s1_params, s1_liouvillian):
     devs = []
     for frac in (0.1, 0.2, 0.3, 0.4, 0.5):
         p = preset(SchemeId.S1, Omega=frac * 0.375)
-        num = schemes.numeric_gap(p)
+        _, num = schemes.fidelity_and_gap(schemes.components(
+            SchemeId.S1, Omega=frac * 0.375))
         ana = schemes.gap_analytic(SchemeId.S1, p)
         devs.append(rel_dev(num, ana))
     assert max(devs) <= 0.15

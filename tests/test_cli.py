@@ -39,7 +39,7 @@ def test_steady_s1(tmp_path, capsys):
     fid = [o for o in data["outputs"]
            if o["name"] == "fidelity" and o["method"] == "full"][0]["value"]
     assert fid == pytest.approx(0.92, abs=0.01)
-    assert {o["method"] for o in data["outputs"]} == {"full", "analytic"}
+    assert {o["method"] for o in data["outputs"]} == {"full", "effective", "analytic"}
     assert "config_hash" in data["provenance"]
     assert data["params"]["phi"] == pytest.approx(math.pi)
 
@@ -66,6 +66,48 @@ def test_steady_ws_high_cooperativity(tmp_path):
         assert values["fidelity", "full"] == pytest.approx(
             values["fidelity", "analytic"], abs=0.015), omega
         assert values["gap", "full"] == pytest.approx(gap, rel=0.1), omega
+
+
+def steady_values(tmp_path, scheme, *args):
+    record = tmp_path / f"{scheme}{'_'.join(args)}.json"
+    assert main(["steady", "--scheme", scheme, *args, "--record", str(record)]) == 0
+    outputs = json.loads(record.read_text())["outputs"]
+    return {(o["name"], o["method"]): o["value"] for o in outputs}
+
+
+def test_steady_mixture_on_the_common_path(tmp_path):
+    # the full gap is the slowest component's (T0), and the effective gap,
+    # from the weighted effective generators, tracks the analytic one
+    mix = steady_values(tmp_path, "T0S0_mix")
+    t0 = steady_values(tmp_path, "T0")
+    assert mix["gap", "full"] == t0["gap", "full"]
+    assert mix["fidelity", "full"] == pytest.approx(0.797, abs=0.015)
+    for c in ("100", "1000"):
+        mix = steady_values(tmp_path, "T0S0_mix", "--C", c)
+        assert mix["gap", "effective"] == pytest.approx(
+            mix["gap", "analytic"], rel=0.05), c
+
+
+def test_sweep_drive_mixture_gap(tmp_path):
+    out = tmp_path / "drive.csv"
+    assert main(["sweep", "--axis", "drive", "--start", "0.02", "--stop", "0.1",
+                 "--points", "2", "--schemes", "T0,T0S0_mix", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    gaps = {(r[1], r[2]): float(r[6]) for r in rows if r[3] == "full"}
+    for value in {r[1] for r in rows}:
+        assert math.isfinite(gaps[value, "T0S0_mix"])
+        assert gaps[value, "T0S0_mix"] == gaps[value, "T0"]
+
+
+@pytest.mark.parametrize("command", [
+    ["trajectory", "--t-final", "1"], ["reduce"]])
+def test_single_model_commands_reject_mixture(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code = main(command + ["--scheme", "T0S0_mix", "--out", str(out)])
+    assert code != 0
+    err = capsys.readouterr().err
+    assert "T0" in err and "S0" in err
+    assert not out.exists()
 
 
 def test_steady_asymmetry_costs_fidelity(tmp_path):

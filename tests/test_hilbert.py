@@ -147,13 +147,6 @@ def test_state_vector_norm_check():
     assert abs(np.linalg.norm(sv.vec) - 1) < 1e-15
 
 
-def test_json_dumps():
-    space = build_space(1, 1)
-    s = named_state(space, "S")
-    assert '"amplitudes"' in s.to_json()
-    assert '"entries"' in s.outer().to_json()
-
-
 def test_spaces_are_shared():
     assert build_space(1, 1) is build_space(1, 1)
     assert build_space(1) is build_space(1, None)

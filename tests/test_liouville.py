@@ -24,7 +24,6 @@ from cavsinglet.liouville import (
     spectral_gap,
     steady_state,
     time_to_convergence,
-    trace_distance,
     trajectory_csv_rows,
     unvec,
     vec,
@@ -32,6 +31,11 @@ from cavsinglet.liouville import (
 )
 from cavsinglet.model import MasterEquation, SystemParams, build_master_equation
 from cavsinglet.schemes import SchemeId, cavity_rates_for_cooperativity, preset
+
+
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Independent oracle for the distances that time_to_convergence uses."""
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
 
 
 def rk4_states(mat, rho0, t_final, dt):
@@ -146,7 +150,7 @@ class TestSteadyState:
 
     def test_long_time_propagation_converges(self, strong_drive_run):
         me, lv, traj, rho_ss = strong_drive_run
-        assert trace_distance(traj.final(), rho_ss) < 1e-6
+        assert trace_distance(traj.final().mat, rho_ss.mat) < 1e-6
 
     @settings(derandomize=True, deadline=None, max_examples=50)
     @given(
@@ -337,7 +341,31 @@ class TestSpectralEvolution:
         rho0 = mixed_ground_state(me.space)
         t_conv = time_to_convergence(lv, rho0, rho_ss, threshold=0.01)
         states = evolve_spectral(lv, rho0, [0.99 * t_conv, 1.01 * t_conv])
-        d_before = trace_distance(DensityMatrix(me.space, states[0]), rho_ss)
-        d_after = trace_distance(DensityMatrix(me.space, states[1]), rho_ss)
+        d_before = trace_distance(states[0], rho_ss.mat)
+        d_after = trace_distance(states[1], rho_ss.mat)
         assert d_after <= 0.0101
         assert d_before >= 0.0099
+
+    @pytest.mark.parametrize("scheme", [SchemeId.S1, SchemeId.T0, SchemeId.WS])
+    def test_time_to_convergence_matches_per_sample_loop(self, scheme):
+        # the stacked eigvalsh must give the same crossing, bit for bit, as
+        # one trace distance per sample (the table1 CSV depends on it)
+        me = build_master_equation(preset(scheme, Omega=0.1))
+        lv, ref_lv = vectorize(me), vectorize(me)
+        rho0, rho_ss = mixed_ground_state(me.space), steady_state(lv)
+        solution = ref_lv.eigensystem().solution(vec(rho0.mat))
+
+        def distances(times):
+            return [trace_distance(s, rho_ss.mat)
+                    for s in unvec(solution(times), ref_lv.dim)]
+
+        t_hi = 30.0 / spectral_gap(ref_lv).gap
+        grid = np.geomspace(t_hi * 1e-4, t_hi, 160)
+        i = next(i for i, d in enumerate(distances(grid)) if d <= 0.01)
+        lo, hi = (0.0 if i == 0 else grid[i - 1]), grid[i]
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if distances([mid])[0] <= 0.01 else (mid, hi)
+            if hi - lo <= 1e-3 * hi:
+                break
+        assert time_to_convergence(lv, rho0, rho_ss, threshold=0.01) == hi

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -258,18 +257,10 @@ class TestParams:
     def test_phase_normalized(self):
         assert SystemParams(phi=2 * math.pi + 0.5).phi == pytest.approx(0.5)
 
-    def test_serialization_round_trips(self):
-        p = SystemParams(Omega=0.0375, Omega_MW=0.0158, Delta=0.0, delta=-0.011,
-                         beta=0.011, phi=math.pi, alpha=0.05, b=0.001)
-        assert SystemParams.from_json(p.to_json()) == p
-        assert SystemParams.from_config(p.to_config()) == p
-        keys = set(json.loads(p.to_json()))
-        assert keys == {"g", "gamma", "kappa", "Omega", "Omega_MW", "Delta",
-                        "delta", "beta", "phi", "alpha", "b", "n_max"}
-
-    def test_from_dict_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            SystemParams.from_dict({"gg": 1.0})
+    def test_to_dict_keys(self):
+        assert set(SystemParams().to_dict()) == {
+            "g", "gamma", "kappa", "Omega", "Omega_MW", "Delta", "delta", "beta",
+            "phi", "alpha", "b", "n_max"}
 
     def test_make_space_default(self):
         assert make_space(SystemParams()).dim == 12

@@ -5,18 +5,19 @@ import pytest
 
 from cavsinglet.errors import NoValidDriveError
 from cavsinglet.schemes import (
+    SCHEMES,
     SchemeId,
     asymmetry_error,
     cavity_rates_for_cooperativity,
     combined_error_s1,
+    components,
     drive_for_dynamic_error,
     error_vs_drive_s1,
+    fidelity_and_gap,
     gap_analytic,
     gap_s1_exact,
-    mix_error_and_gap,
     needs_confinement,
     numeric_fidelity,
-    numeric_gap,
     optimal_drive_for_time,
     parse_scheme,
     preset,
@@ -28,6 +29,10 @@ from cavsinglet.schemes import (
 
 C_REF = 256.0 / 15.0
 SQ2 = math.sqrt(2.0)
+
+
+def full_gap(scheme, **preset_args):
+    return fidelity_and_gap(components(scheme, **preset_args))[1]
 
 
 class TestPresets:
@@ -158,7 +163,7 @@ class TestAnalyticGap:
         gamma, kappa = cavity_rates_for_cooperativity(50.0)
         for scheme in ("S1", "T0", "T1", "S0"):
             p = preset(scheme, gamma=gamma, kappa=kappa, Omega=gamma / 5)
-            num = numeric_gap(p)
+            num = full_gap(scheme, gamma=gamma, kappa=kappa, Omega=gamma / 5)
             ana = gap_analytic(scheme, p)
             assert abs(num - ana) / max(num, ana) < 0.25, scheme
 
@@ -168,7 +173,7 @@ class TestAnalyticGap:
         # see the decisions ledger
         gamma, kappa = cavity_rates_for_cooperativity(50.0)
         p = preset("WS", gamma=gamma, kappa=kappa, Omega=gamma / 5)
-        num = numeric_gap(p)
+        num = full_gap("WS", gamma=gamma, kappa=kappa, Omega=gamma / 5)
         ana = gap_analytic("WS", p)
         assert 0.5 < num / ana < 2.0
 
@@ -252,22 +257,63 @@ class TestWsAnalytics:
             ws_analytics(preset("WS").replace(Delta=2.0))
 
 
+class TestSchemeTable:
+    def test_every_scheme_has_a_row(self):
+        assert set(SCHEMES) == set(SchemeId)
+        for scheme, row in SCHEMES.items():
+            assert sum(w for w, _ in row.components) == 1.0, scheme
+            for _, part in row.components:
+                assert SCHEMES[part].components == ((1.0, part),), scheme
+
+    def test_mixture_rules_are_weighted_means(self):
+        p = preset("T0", Omega=0.05)
+        for scheme, row in SCHEMES.items():
+            if row.preset is not None:
+                continue
+            for C in (10.0, C_REF, 1000.0):
+                mean = sum(w * static_error(part, C) for w, part in row.components)
+                assert static_error(scheme, C) == mean
+            mean = sum(w * gap_analytic(part, p) for w, part in row.components)
+            assert gap_analytic(scheme, p) == mean
+        w2 = p.Omega ** 2 / p.gamma
+        assert static_error("mix", C_REF) == pytest.approx(4.5 / C_REF, rel=1e-15)
+        assert gap_analytic("mix", p) == pytest.approx(
+            (9 - 2 * math.sqrt(3) - math.sqrt(5)) / 32 * w2, rel=1e-15)
+
+    def test_mixture_has_no_single_preset(self):
+        with pytest.raises(ValueError, match="T0.*S0"):
+            preset("mix")
+
+    def test_components_carry_overrides(self):
+        comps = components("T1", {"alpha": 0.1}, Omega=0.05)
+        assert [(c.weight, c.scheme) for c in comps] == [(1.0, SchemeId.T1)]
+        assert comps[0].params == preset("T1", Omega=0.05).replace(alpha=0.1)
+
+
 class TestMixture:
     def test_endpoints(self):
-        p = preset("T0")
-        t0 = mix_error_and_gap(p, phi=0.0)
-        s0 = mix_error_and_gap(p, phi=math.pi)
-        w = p.Omega ** 2 / p.gamma
-        assert t0["error"] == pytest.approx(5.5 / C_REF)
-        assert t0["gap"] == pytest.approx((2 - math.sqrt(3)) / 8 * w)
-        assert s0["error"] == pytest.approx(3.5 / C_REF)
-        assert s0["gap"] == pytest.approx((5 - math.sqrt(5)) / 16 * w)
+        # the random-phase scheme mixes the phi = 0 (T0) and phi = pi (S0)
+        # configurations with equal weights
+        comps = components("mix", Omega=0.05)
+        assert [(c.weight, c.scheme) for c in comps] == [
+            (0.5, SchemeId.T0), (0.5, SchemeId.S0)]
+        assert comps[0].params == preset("T0", Omega=0.05)
+        assert comps[1].params == preset("S0", Omega=0.05)
+        assert comps[0].params.phi == 0.0
+        assert comps[1].params.phi == pytest.approx(math.pi)
 
     def test_uniform_average(self):
-        p = preset("T0")
-        out = mix_error_and_gap(p)
-        assert out["error"] == pytest.approx(4.5 / C_REF)
-        assert out["gap"] == pytest.approx(gap_analytic("mix", p))
+        # the mixture fidelity is the endpoint mean, not the uniform average
+        # over the relative phase, which is higher and would miss the 0.797
+        # benchmark by more than its 0.015 tolerance
+        f_t0, f_s0 = scheme_numeric_fidelity("T0"), scheme_numeric_fidelity("S0")
+        f_mix = scheme_numeric_fidelity("mix")
+        assert f_mix == pytest.approx(0.5 * (f_t0 + f_s0), abs=2e-16)
+        base = preset("T0")
+        uniform = np.mean([numeric_fidelity(base.replace(phi=phi))
+                           for phi in np.linspace(0.0, 2 * math.pi, 16, endpoint=False)])
+        assert uniform == pytest.approx(0.8126, abs=1e-3)
+        assert abs(f_mix - 0.797) <= 0.015 < abs(uniform - 0.797)
 
 
 class TestAsymmetry:
