@@ -24,9 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, effective, liouville, ratemodel, schemes
-from .hilbert import named_state
-from .model import SystemParams, build_master_equation
-from .schemes import SchemeId, parse_scheme, preset
+from .model import SystemParams, build_master_equation, make_space
+from .schemes import SchemeId, parse_scheme
 
 DEFAULT_G_MHZ = 16.0  # g / 2 pi, reference cavity
 
@@ -151,49 +150,37 @@ def cmd_steady(args) -> int:
 
 
 def _sweep_point(axis: str, value: float, scheme: SchemeId, args) -> list[list]:
-    g = args.g
-    rows = []
+    """Rows of one grid point: the command-line parameters with the swept one
+    replaced, built as ``steady`` builds them."""
+    point = argparse.Namespace(**vars(args) | {"scheme": scheme})
     try:
+        if axis == "time":
+            opt = schemes.optimal_drive_for_time(value, build_params(point))
+            return [[axis, value, str(scheme), "analytic", 1.0 - opt["error"],
+                     opt["error"], opt["Omega_opt"], "ok"]]
         if axis == "cooperativity":
-            gamma, kappa = schemes.cavity_rates_for_cooperativity(value, g=g)
-            fid = schemes.scheme_numeric_fidelity(scheme, g=g, gamma=gamma,
-                                                  kappa=kappa, Omega=gamma / 10.0)
-            rows.append([axis, value, str(scheme), "full", fid, 1.0 - fid,
-                         float("nan"), "ok"])
-            rows.append([axis, value, str(scheme), "analytic",
-                         1.0 - schemes.static_error(scheme, value),
-                         schemes.static_error(scheme, value), float("nan"), "ok"])
+            point.C = value
         elif axis == "drive":
-            g_, gamma, kappa = _cavity_args(args)
-            comps = schemes.components(scheme, g=g_, gamma=gamma, kappa=kappa,
-                                       Omega=value)
-            fid, gap = schemes.fidelity_and_gap(comps)
-            rows.append([axis, value, str(scheme), "full", fid, 1.0 - fid, gap, "ok"])
-            rows.append([axis, value, str(scheme), "analytic",
-                         float("nan"), float("nan"),
-                         schemes.gap_analytic(scheme, schemes.slowest(comps).params),
-                         "ok"])
-        elif axis == "asymmetry":
-            g_, gamma, kappa = _cavity_args(args)
-            omega = parse_rate(args.omega, gamma, kappa, g_) if args.omega else None
-            fid = schemes.mixture_fidelity(schemes.components(
-                scheme, {"alpha": value}, g=g_, gamma=gamma, kappa=kappa, Omega=omega))
-            rows.append([axis, value, str(scheme), "full", fid, 1.0 - fid,
-                         float("nan"), "ok"])
-            rows.append([axis, value, str(scheme), "analytic", float("nan"),
-                         schemes.asymmetry_error(value), float("nan"), "ok"])
-        elif axis == "time":
-            g_, gamma, kappa = _cavity_args(args)
-            opt = schemes.optimal_drive_for_time(
-                value, preset(scheme, g=g_, gamma=gamma, kappa=kappa))
-            rows.append([axis, value, str(scheme), "analytic",
-                         1.0 - opt["error"], opt["error"], opt["Omega_opt"], "ok"])
+            point.omega = repr(value)
         else:
-            raise ValueError(f"unknown axis {axis}")
+            point.alpha = value
+        comps = build_components(point)
+        if axis == "drive":
+            fid, gap = schemes.fidelity_and_gap(comps)
+            analytic = [float("nan"), float("nan"),
+                        schemes.gap_analytic(scheme, schemes.slowest(comps).params)]
+        elif axis == "cooperativity":
+            fid, gap = schemes.mixture_fidelity(comps), float("nan")
+            err = schemes.static_error(scheme, value)
+            analytic = [1.0 - err, err, float("nan")]
+        else:
+            fid, gap = schemes.mixture_fidelity(comps), float("nan")
+            analytic = [float("nan"), schemes.asymmetry_error(value), float("nan")]
+        return [[axis, value, str(scheme), "full", fid, 1.0 - fid, gap, "ok"],
+                [axis, value, str(scheme), "analytic", *analytic, "ok"]]
     except Exception as exc:  # noqa: BLE001 - per-point failures become rows
-        rows.append([axis, value, str(scheme), "none", float("nan"),
-                     float("nan"), float("nan"), f"error: {exc}"])
-    return rows
+        return [[axis, value, str(scheme), "none", float("nan"),
+                 float("nan"), float("nan"), f"error: {exc}"]]
 
 
 def cmd_sweep(args) -> int:
@@ -236,17 +223,14 @@ def cmd_table1(args) -> int:
     for scheme in scheme_ids:
         try:
             static = schemes.static_error(scheme, C)
-            fid = schemes.scheme_numeric_fidelity(scheme, g=g, gamma=gamma,
-                                                  kappa=kappa, Omega=gamma / 10.0)
-            omega2 = schemes.drive_for_dynamic_error(scheme, 0.02, g=g,
-                                                     gamma=gamma, kappa=kappa)
+            omega2, fid = schemes.drive_for_dynamic_error(scheme, g=g, gamma=gamma,
+                                                          kappa=kappa)
             # a static mixture converges at its slowest component's rate
             me = build_master_equation(schemes.slowest(schemes.components(
                 scheme, g=g, gamma=gamma, kappa=kappa, Omega=omega2)).params)
             lv = liouville.vectorize(me)
             t_conv = liouville.time_to_convergence(
-                lv, liouville.mixed_ground_state(me.space), liouville.steady_state(lv),
-                threshold=0.01)
+                lv, liouville.mixed_ground_state(me.space), liouville.steady_state(lv))
             # after time_to_convergence, so the gap reuses its eigensystem
             gap = liouville.spectral_gap(lv).gap
             t_us = microseconds(t_conv, args.g_mhz)
@@ -269,10 +253,15 @@ def cmd_table1(args) -> int:
 # -- trajectory ----------------------------------------------------------------
 
 
-def _initial_state(spec: str, space):
+def _initial_state(spec: str, space) -> liouville.DensityMatrix:
+    """The mixed ground state or one of the named ground states of ``space``."""
     if spec == "mixed":
         return liouville.mixed_ground_state(space)
-    return liouville.DensityMatrix.pure(named_state(space, spec))
+    vectors = liouville.ground_state_vectors(space)
+    if spec not in vectors:
+        raise ValueError(f"no initial state {spec!r}: choose mixed, "
+                         f"{', '.join(vectors)}")
+    return liouville.DensityMatrix(space, np.outer(vectors[spec], vectors[spec].conj()))
 
 
 def cmd_trajectory(args) -> int:
@@ -299,8 +288,9 @@ def cmd_trajectory(args) -> int:
                 db = ratemodel.build_dressed_basis(params.Omega_MW, params.beta)
                 n = max(2, min(1001, int(args.t_final / dt / 50) + 2))
                 times = np.linspace(0.0, args.t_final, n)
-                bare0 = np.full(4, 0.25) if args.rho0 == "mixed" else \
-                    np.eye(4)[["00", "T", "11", "S"].index(args.rho0)]
+                # populations in the (00, T, 11, S) order of the ground basis
+                bare0 = np.diag(_initial_state(
+                    args.rho0, effective.GroundBasis(make_space(params))).mat).real
                 # dressed populations map to bare ones through the squared
                 # basis-change amplitudes (diagonal-density approximation)
                 weights = db.transform() ** 2
@@ -405,7 +395,7 @@ def make_parser() -> argparse.ArgumentParser:
                         "1000 samples; the evolution itself is exact")
     p.add_argument("--methods", default="full")
     p.add_argument("--rho0", default="mixed",
-                   help="mixed or a named state (S, T, 00, 11)")
+                   help="mixed or a named ground state (00, T, 11, S)")
     p.add_argument("--out", default="trajectory.csv")
     p.set_defaults(func=cmd_trajectory)
 

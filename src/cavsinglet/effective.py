@@ -143,16 +143,9 @@ def build_hnh(pm: PartitionedModel) -> OperatorMatrix:
     return OperatorMatrix(pm.space, out)
 
 
-def _support_indices(mat: np.ndarray) -> np.ndarray:
-    row = np.abs(mat).sum(axis=1) > 0
-    col = np.abs(mat).sum(axis=0) > 0
-    return np.where(row | col)[0]
-
-
-def invert_hnh(hnh: OperatorMatrix, excited_idx: np.ndarray | None = None) -> OperatorMatrix:
-    """Inverse of the non-Hermitian Hamiltonian on its excited block."""
-    if excited_idx is None:
-        excited_idx = _support_indices(hnh.mat)
+def invert_hnh(hnh: OperatorMatrix, excited_idx: np.ndarray) -> OperatorMatrix:
+    """Inverse of a (possibly energy-shifted) non-Hermitian Hamiltonian on
+    its excited block; the one propagator inverse of both reductions."""
     block = hnh.mat[np.ix_(excited_idx, excited_idx)]
     cond = np.linalg.cond(block)
     if not np.isfinite(cond) or cond > 1e14:
@@ -251,16 +244,10 @@ class EffectiveModel:
 
 
 def reduce(pm: PartitionedModel) -> EffectiveModel:
-    """Second-order effective model from the numeric propagator inverse."""
-    inv = invert_hnh(build_hnh(pm), pm.excited_idx).mat
-    vp, vm = pm.V_plus.mat, pm.V_minus.mat
-    g = pm.ground
-    hg_block = g.restrict(pm.H0.mat)
-    h_eff = g.restrict(-0.5 * vm @ (inv + inv.conj().T) @ vp) + hg_block
-    l_effs = {
-        name: g.restrict(op.mat @ inv @ vp) for name, op in pm.lindblads.items()
-    }
-    return EffectiveModel(g, h_eff, l_effs, dressed=False)
+    """Second-order effective model: the dressed reduction with every ground
+    energy set to zero, so one propagator H_NH^(-1) serves all ground states."""
+    model = reduce_dressed(pm, ground_energies=np.zeros(pm.ground.dim))
+    return EffectiveModel(model.ground, model.H_eff, model.L_effs)
 
 
 def ground_hamiltonian_block(pm: PartitionedModel) -> np.ndarray:
@@ -303,7 +290,6 @@ def reduce_dressed(
         evals = np.asarray(ground_energies, dtype=float)
     idx = pm.excited_idx
     hnh = build_hnh(pm).mat
-    block = hnh[np.ix_(idx, idx)]
     vp = pm.V_plus.mat
     g = pm.ground
     dark = _dark_projector(pm)[np.ix_(idx, idx)] if retain == "dark" else None
@@ -326,18 +312,10 @@ def reduce_dressed(
             np.outer(evecs[:, i], evecs[:, i].conj()) for i in members
         )
         proj_full = g.embed @ proj4 @ g.embed.conj().T
-        if retain == "all":
-            shifted = block - e0 * np.eye(len(idx))
-        else:
-            shifted = block - e0 * dark
-        cond = np.linalg.cond(shifted)
-        if not np.isfinite(cond) or cond > 1e14:
-            raise NumericalInstabilityError(
-                f"shifted propagator singular for ground energy {e0:.6g}"
-            )
-        inv_full = np.zeros((pm.space.dim, pm.space.dim), dtype=complex)
-        inv_full[np.ix_(idx, idx)] = scipy.linalg.inv(shifted)
-        kernel += inv_full @ vp @ proj_full
+        shifted = hnh.copy()
+        shifted[np.ix_(idx, idx)] -= e0 * (np.eye(len(idx)) if dark is None else dark)
+        inv = invert_hnh(OperatorMatrix(pm.space, shifted), idx).mat
+        kernel += inv @ vp @ proj_full
 
     half = pm.V_minus.mat @ kernel
     h_eff = g.restrict(-0.5 * (half + half.conj().T)) + hg_block

@@ -31,6 +31,9 @@ MAX_EIGENVECTOR_COND = 1e8
 # Largest |tr(rho(t)) - 1| tolerated on any propagated sample.
 TRACE_TOL = 1e-8
 
+# Trace distance to the steady state at which ``time_to_convergence`` stops.
+CONVERGED_DISTANCE = 0.01
+
 # Sample times evaluated per block, so that the temporaries stay a fraction
 # of the (times x dim^2) result.
 TIME_CHUNK = 128
@@ -220,15 +223,14 @@ class DensityMatrix:
     space: object
     mat: np.ndarray
 
-    def validate(self, herm_tol: float = 1e-10, trace_tol: float = 1e-10,
-                 pos_tol: float = 1e-8) -> "DensityMatrix":
+    def validate(self) -> "DensityMatrix":
         scale = max(float(np.abs(self.mat).max()), 1e-300)
-        if float(np.abs(self.mat - self.mat.conj().T).max()) > herm_tol * max(scale, 1.0):
+        if float(np.abs(self.mat - self.mat.conj().T).max()) > 1e-10 * max(scale, 1.0):
             raise NumericalInstabilityError("density matrix is not Hermitian")
-        if abs(np.trace(self.mat) - 1.0) > trace_tol:
+        if abs(np.trace(self.mat) - 1.0) > 1e-10:
             raise NumericalInstabilityError("density matrix trace differs from 1")
         w = np.linalg.eigvalsh(0.5 * (self.mat + self.mat.conj().T))
-        if w.min() < -pos_tol:
+        if w.min() < -1e-8:
             raise NumericalInstabilityError(
                 f"density matrix has negative eigenvalue {w.min():.3e}"
             )
@@ -375,9 +377,8 @@ def time_to_convergence(
     lv: LiouvillianMatrix,
     rho0: DensityMatrix,
     rho_ss: DensityMatrix,
-    threshold: float = 0.01,
 ) -> float:
-    """First time with trace distance to the steady state <= threshold.
+    """First time with trace distance to the steady state <= 0.01.
 
     The eigensystem is built before the gap is read, so the gap comes from
     its eigenvalues and the generator is decomposed once.
@@ -392,12 +393,12 @@ def time_to_convergence(
     t_hi = 30.0 / gap
     grid = np.geomspace(t_hi * 1e-4, t_hi, 160)
     for i, dist in enumerate(distances(grid)):
-        if dist <= threshold:
+        if dist <= CONVERGED_DISTANCE:
             lo = 0.0 if i == 0 else grid[i - 1]
             hi = grid[i]
             for _ in range(40):
                 mid = 0.5 * (lo + hi)
-                if distances([mid])[0] <= threshold:
+                if distances([mid])[0] <= CONVERGED_DISTANCE:
                     hi = mid
                 else:
                     lo = mid
@@ -405,7 +406,7 @@ def time_to_convergence(
                     break
             return float(hi)
     raise NumericalInstabilityError(
-        f"no convergence to trace distance {threshold} within t = {t_hi:.3e}"
+        f"no convergence to trace distance {CONVERGED_DISTANCE} within t = {t_hi:.3e}"
     )
 
 

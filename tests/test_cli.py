@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from cavsinglet import schemes
 from cavsinglet.cli import main, microseconds, parse_rate
 
 
@@ -86,6 +87,28 @@ def test_steady_mixture_on_the_common_path(tmp_path):
         mix = steady_values(tmp_path, "T0S0_mix", "--C", c)
         assert mix["gap", "effective"] == pytest.approx(
             mix["gap", "analytic"], rel=0.05), c
+
+
+@pytest.mark.parametrize("axis, value, swept, flags", [
+    ("cooperativity", "100", "--C", ["--omega", "0.3gamma", "--phi", "1.0"]),
+    ("drive", "0.05", "--omega", ["--Delta", "2"]),
+])
+def test_sweep_point_is_the_steady_model(tmp_path, axis, value, swept, flags):
+    # a sweep point takes every parameter flag, with the swept one replaced
+    def sweep_full(*extra):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--axis", axis, "--start", value, "--stop", value,
+                     "--points", "1", "--schemes", "T0", *extra,
+                     "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        return [r for r in rows if r[3] == "full"][0]
+
+    steady = steady_values(tmp_path, "T0", swept, value, *flags)
+    row = sweep_full(*flags)
+    assert float(row[4]) == pytest.approx(steady["fidelity", "full"], rel=1e-11)
+    if axis == "drive":
+        assert float(row[6]) == pytest.approx(steady["gap", "full"], rel=1e-11)
+    assert float(sweep_full()[4]) != pytest.approx(float(row[4]), rel=1e-6)
 
 
 def test_sweep_drive_mixture_gap(tmp_path):
@@ -194,6 +217,24 @@ def test_trajectory_multi_method(tmp_path):
     assert methods == {"full", "effective", "rate"}
 
 
+def test_trajectory_named_start(tmp_path):
+    out = tmp_path / "traj.csv"
+    methods = ["full", "effective", "dressed_effective", "rate"]
+    assert main(["trajectory", "--scheme", "S1", "--t-final", "10", "--methods",
+                 ",".join(methods), "--rho0", "S", "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    start = {r[1]: float(r[header.index("P_S")]) for r in rows if float(r[0]) == 0.0}
+    assert start == pytest.approx(dict.fromkeys(methods, 1.0), abs=1e-12)
+
+
+def test_trajectory_unknown_start_names_it(tmp_path):
+    out = tmp_path / "traj.csv"
+    assert main(["trajectory", "--scheme", "S1", "--t-final", "1", "--methods",
+                 "effective,rate", "--rho0", "T0", "--out", str(out)]) == 1
+    _, rows = read_csv(out)
+    assert len(rows) == 2 and all("'T0'" in r[-1] for r in rows)
+
+
 def test_trajectory_unknown_method_fails(tmp_path):
     out = tmp_path / "traj.csv"
     code = main([
@@ -217,6 +258,15 @@ def test_table1_s1_row(tmp_path):
     assert 3e-3 <= float(row[3]) <= 1.2e-2
     assert 5.0 <= float(row[4]) <= 20.0
     assert row[5] == "yes"
+
+
+def test_table1_solves_each_model_once(tmp_path, monkeypatch):
+    # the drive search returns the weak-drive fidelity it measures from
+    solve, solved = schemes.numeric_fidelity, []
+    monkeypatch.setattr(schemes, "numeric_fidelity",
+                        lambda params: solved.append(params) or solve(params))
+    assert main(["table1", "--schemes", "T0", "--out", str(tmp_path / "t.csv")]) == 0
+    assert len(solved) == len(set(solved)) == 14
 
 
 def test_reduce_dump(tmp_path):

@@ -207,12 +207,20 @@ class TestReduce:
 
 class TestReduceDressed:
     def test_zero_energies_match_plain_reduction(self, s1_params):
+        # reduce is the zero-energy dressed reduction; the reference is the
+        # plain formula H_eff = -1/2 V- (H_NH^-1 + h.c.) V+ + H_g,
+        # L_eff = L H_NH^-1 V+ with one unshifted propagator
         pm = partition(s1_params)
         plain = reduce(pm)
-        dressed = reduce_dressed(pm, ground_energies=np.zeros(4))
-        assert np.abs(dressed.H_eff - plain.H_eff).max() < 1e-13
-        for name in plain.L_effs:
-            assert np.abs(dressed.L_effs[name] - plain.L_effs[name]).max() < 1e-13
+        inv = invert_hnh(build_hnh(pm), pm.excited_idx).mat
+        vp, vm = pm.V_plus.mat, pm.V_minus.mat
+        h_ref = pm.ground.restrict(-0.5 * vm @ (inv + inv.conj().T) @ vp) \
+            + ground_hamiltonian_block(pm)
+        assert plain.dressed is False and plain.ground_energies is None
+        assert np.abs(plain.H_eff - h_ref).max() < 1e-13
+        for name, op in pm.lindblads.items():
+            l_ref = pm.ground.restrict(op.mat @ inv @ vp)
+            assert np.abs(plain.L_effs[name] - l_ref).max() < 1e-13
 
     def test_ground_energies(self, s1_params):
         pm = partition(s1_params)

@@ -339,7 +339,7 @@ class TestSpectralEvolution:
     def test_time_to_convergence(self, strong_drive_run):
         me, lv, traj, rho_ss = strong_drive_run
         rho0 = mixed_ground_state(me.space)
-        t_conv = time_to_convergence(lv, rho0, rho_ss, threshold=0.01)
+        t_conv = time_to_convergence(lv, rho0, rho_ss)
         states = evolve_spectral(lv, rho0, [0.99 * t_conv, 1.01 * t_conv])
         d_before = trace_distance(states[0], rho_ss.mat)
         d_after = trace_distance(states[1], rho_ss.mat)
@@ -368,4 +368,4 @@ class TestSpectralEvolution:
             lo, hi = (lo, mid) if distances([mid])[0] <= 0.01 else (mid, hi)
             if hi - lo <= 1e-3 * hi:
                 break
-        assert time_to_convergence(lv, rho0, rho_ss, threshold=0.01) == hi
+        assert time_to_convergence(lv, rho0, rho_ss) == hi

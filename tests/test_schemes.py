@@ -351,12 +351,14 @@ class TestNumericBenchmarks:
             assert fid_s1 > scheme_numeric_fidelity(other), other
 
     def test_drive_for_two_percent_dynamic_error(self):
-        omega = drive_for_dynamic_error("S1", 0.02)
+        omega, fid_weak = drive_for_dynamic_error("S1")
+        assert fid_weak == scheme_numeric_fidelity("S1")
         p = preset("S1", Omega=omega)
         out = combined_error_s1(p)
         assert out["total"] - out["static"] == pytest.approx(0.02, rel=1e-6)
-        # bisection path on a numeric scheme
-        omega_t0 = drive_for_dynamic_error("T0", 0.02)
-        weak = 1.0 - scheme_numeric_fidelity("T0")
+        # bisection path on a numeric scheme, measured from the weak-drive
+        # fidelity it returns
+        omega_t0, fid_weak = drive_for_dynamic_error("T0")
+        assert fid_weak == scheme_numeric_fidelity("T0")
         err = 1.0 - scheme_numeric_fidelity("T0", Omega=omega_t0)
-        assert err - weak == pytest.approx(0.02, abs=2e-3)
+        assert err - (1.0 - fid_weak) == pytest.approx(0.02, abs=2e-3)
