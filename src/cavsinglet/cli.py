@@ -155,7 +155,7 @@ def _sweep_point(axis: str, value: float, scheme: SchemeId, args) -> list[list]:
     point = argparse.Namespace(**vars(args) | {"scheme": scheme})
     try:
         if axis == "time":
-            opt = schemes.optimal_drive_for_time(value, build_params(point))
+            opt = schemes.optimal_drive(scheme, value, build_params(point))
             return [[axis, value, str(scheme), "analytic", 1.0 - opt["error"],
                      opt["error"], opt["Omega_opt"], "ok"]]
         if axis == "cooperativity":
@@ -175,7 +175,8 @@ def _sweep_point(axis: str, value: float, scheme: SchemeId, args) -> list[list]:
             analytic = [1.0 - err, err, float("nan")]
         else:
             fid, gap = schemes.mixture_fidelity(comps), float("nan")
-            analytic = [float("nan"), schemes.asymmetry_error(value), float("nan")]
+            analytic = [float("nan"), schemes.analytic_asymmetry_error(scheme, value),
+                        float("nan")]
         return [[axis, value, str(scheme), "full", fid, 1.0 - fid, gap, "ok"],
                 [axis, value, str(scheme), "analytic", *analytic, "ok"]]
     except Exception as exc:  # noqa: BLE001 - per-point failures become rows

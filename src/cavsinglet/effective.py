@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalInstabilityError, SingularPropagatorError
 from .hilbert import HilbertSpace, OperatorMatrix, named_state
@@ -152,7 +151,7 @@ def invert_hnh(hnh: OperatorMatrix, excited_idx: np.ndarray) -> OperatorMatrix:
         raise NumericalInstabilityError(
             f"excited block is numerically singular (cond ~ {cond:.2e})"
         )
-    inv_block = scipy.linalg.inv(block)
+    inv_block = np.linalg.inv(block)
     out = np.zeros_like(hnh.mat)
     out[np.ix_(excited_idx, excited_idx)] = inv_block
     return OperatorMatrix(hnh.space, out)

@@ -20,6 +20,11 @@ class NumericalInstabilityError(RuntimeError):
     """A numeric result violates a structural bound (positivity, conditioning)."""
 
 
+class NotHermiticityPreservingError(RuntimeError):
+    """A matrix given as a Lindblad generator maps some Hermitian operator to
+    a non-Hermitian one, so it has no real Hermitian-basis form."""
+
+
 class SingularPropagatorError(RuntimeError):
     """A closed-form propagator denominator is numerically singular."""
 

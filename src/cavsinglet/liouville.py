@@ -3,21 +3,23 @@ exact time evolution and fidelities.
 
 Vectorization is column-stacking throughout: ``vec(rho) =
 rho.reshape(-1, order="F")`` and the superoperator of ``A rho B`` is
-``kron(B.T, A)``.
+``kron(B.T, A)``.  Factorizations run on a generator's real form in the
+orthonormal Hermitian operator basis (see ``LiouvillianMatrix``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateSteadyStateError,
     DimensionMismatchError,
+    NotHermiticityPreservingError,
     NumericalInstabilityError,
 )
 from .hilbert import StateVector, named_state
@@ -33,6 +35,11 @@ TRACE_TOL = 1e-8
 
 # Trace distance to the steady state at which ``time_to_convergence`` stops.
 CONVERGED_DISTANCE = 0.01
+
+# Largest real or imaginary part of conj(L) - P L P, relative to L's, that
+# the real form of a hand-built generator may drop (P swaps rho_ij and
+# rho_ji).
+HERMITICITY_TOL = 1e-12
 
 # Sample times evaluated per block, so that the temporaries stay a fraction
 # of the (times x dim^2) result.
@@ -59,8 +66,6 @@ class Eigensystem:
     @classmethod
     def of(cls, mat: np.ndarray) -> "Eigensystem":
         """Raises ``NumericalInstabilityError`` for a (nearly) defective ``mat``."""
-        # numpy's LAPACK, like the matrix products that use the result:
-        # calling scipy's copy as well would touch a second BLAS workspace.
         values, vectors = np.linalg.eig(mat)
         cond = np.linalg.cond(vectors)
         if not cond <= MAX_EIGENVECTOR_COND:
@@ -91,19 +96,91 @@ class Eigensystem:
         return at
 
 
+@functools.lru_cache(maxsize=None)
+def _hermitian_order(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """vec indices of rho_ii, then of rho_ij and of rho_ji for i < j (the
+    entries of vec(rho) that each real coordinate reads), and the flat
+    indices of a d^2 x d^2 matrix taken in that order on both axes."""
+    i, j = np.triu_indices(d, 1)
+    order = np.concatenate([np.arange(d) * (d + 1), i + j * d, j + i * d])
+    flat = order[:, None] * (d * d) + order
+    for a in (order, flat):
+        a.flags.writeable = False
+    return order, flat
+
+
+def from_real(x: np.ndarray, d: int) -> np.ndarray:
+    """T^H x along axis 0: real coordinates (or complex combinations of
+    them, such as eigenvectors) back to column-stacked vectors."""
+    n = (d * d - d) // 2
+    re = math.sqrt(0.5) * x[d:d + n]
+    im = 1j * math.sqrt(0.5) * x[d + n:]
+    out = np.empty(x.shape, dtype=complex)
+    out[_hermitian_order(d)[0]] = np.concatenate([x[:d], re + im, re - im])
+    return out
+
+
+def _in_hermitian_order(mat: np.ndarray, d: int) -> np.ndarray:
+    return mat.take(_hermitian_order(d)[1])
+
+
+def _hermiticity_defect(m: np.ndarray, d: int) -> float:
+    """Largest real or imaginary part of conj(L) - P L P, with P swapping
+    rho_ij and rho_ji, for L given as ``_in_hermitian_order`` returns it:
+    what the real form drops.  Block by block, P swaps upper and lower."""
+    n = (d * d - d) // 2
+    D, U, Lo = slice(0, d), slice(d, d + n), slice(d + n, None)
+    return max(np.abs(m[D, D].imag).max(), *(
+        np.abs((m[a] - m[b].conj()).view(float)).max()
+        for a, b in (((D, Lo), (D, U)), ((Lo, D), (U, D)),
+                     ((Lo, U), (U, Lo)), ((Lo, Lo), (U, U)))))
+
+
+def _real_form(m: np.ndarray, d: int) -> np.ndarray:
+    """R = T L T^H, with T the unitary map from vec(rho) to the real
+    coordinates (rho_ii, sqrt2 Re rho_ij, sqrt2 Im rho_ij for i < j), for L
+    given as ``_in_hermitian_order`` returns it.
+
+    R is real and has the spectrum of L exactly when L preserves
+    Hermiticity, conj(L) = P L P.  It is read off the diag and upper rows
+    of L by index arithmetic; the lower rows are taken to be their
+    conjugate images, as ``_hermiticity_defect`` checks.
+    """
+    n = (d * d - d) // 2
+    D, U, Lo = slice(0, d), slice(d, d + n), slice(d + n, None)
+    r2 = math.sqrt(2.0)
+    du, ud, uu, ul = m[D, U], m[U, D], m[U, U], m[U, Lo]
+    out = np.empty((d * d, d * d))
+    out[D, D] = m[D, D].real
+    np.multiply(r2, du.real, out=out[D, U])
+    np.multiply(-r2, du.imag, out=out[D, Lo])
+    np.multiply(r2, ud.real, out=out[U, D])
+    np.multiply(r2, ud.imag, out=out[Lo, D])
+    np.add(uu.real, ul.real, out=out[U, U])
+    np.subtract(ul.imag, uu.imag, out=out[U, Lo])
+    np.add(uu.imag, ul.imag, out=out[Lo, U])
+    np.subtract(uu.real, ul.real, out=out[Lo, Lo])
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class LiouvillianMatrix:
     """dim^2 x dim^2 generator acting on column-stacked density matrices.
 
-    Its factorizations are computed on first use and kept: ``bordered_lu()``
-    serves the steady state and the uniqueness test, ``eigensystem()`` serves
-    time evolution, and ``eigenvalues()`` serves gaps, from the eigensystem
-    when one was built first and otherwise from ``eigvals`` (about half the
-    cost of ``eig``).
+    ``mat`` is the complex column-stacked matrix.  Every factorization runs
+    on its real form ``real_form()`` = T L T^H in the orthonormal Hermitian
+    operator basis, a unitary similarity, so spectra and eigenvector
+    conditioning are those of L at real-arithmetic cost.  All are computed
+    on first use and kept: ``bordered_inverse()`` serves the steady state
+    and the uniqueness test, ``eigensystem()`` serves time evolution, and
+    ``eigenvalues()`` serves gaps, from the eigensystem when one was built
+    first and otherwise from ``eigvals`` (about half the cost of ``eig``).
     """
 
     space: object
     mat: np.ndarray
+    _real: np.ndarray | None = field(default=None, init=False, repr=False)
     _bordered: tuple | None = field(default=None, init=False, repr=False)
     _eigenvalues: np.ndarray | None = field(default=None, init=False, repr=False)
     _eigensystem: Eigensystem | None = field(default=None, init=False, repr=False)
@@ -112,27 +189,49 @@ class LiouvillianMatrix:
     def dim(self) -> int:
         return self.space.dim
 
-    def bordered_lu(self) -> tuple[np.ndarray, np.ndarray]:
-        """LU factors of L with row 0 replaced by the trace functional vec(I).
+    def real_form(self) -> np.ndarray:
+        """The real form (read-only); see ``_real_form``.
 
-        Solving against e_0 gives the unit-trace stationary state (the
-        trace-bordered solve of QuTiP's ``steadystate``).  The stationary
-        state is unique iff the factors' reciprocal condition estimate is at
-        least machine epsilon; otherwise ``DegenerateSteadyStateError``
-        reports the nullity of L.
+        Raises ``NotHermiticityPreservingError`` if ``mat`` misses
+        conj(L) = P L P by more than ``HERMITICITY_TOL``, since the real
+        form would drop that part.
+        """
+        if self._real is None:
+            m = _in_hermitian_order(self.mat, self.dim)
+            dropped = _hermiticity_defect(m, self.dim)
+            if not dropped <= HERMITICITY_TOL * np.abs(m.view(float)).max():
+                raise NotHermiticityPreservingError(
+                    f"conj(L) differs from P L P by {dropped:.3e}: "
+                    f"not a Lindblad generator")
+            object.__setattr__(self, "_real", _real_form(m, self.dim))
+        return self._real
+
+    def bordered_inverse(self) -> np.ndarray:
+        """Inverse of the real form with row 0 replaced by the trace
+        functional (1 on the diagonal coordinates).
+
+        Its column 0 is the unit-trace stationary state in real coordinates
+        (the trace-bordered solve of QuTiP's ``steadystate``).  The state is
+        unique iff the exact reciprocal condition number 1 / (||B||_1
+        ||B^-1||_1) is at least machine epsilon; otherwise, or if B is
+        singular, ``DegenerateSteadyStateError`` reports the nullity of L.
         """
         if self._bordered is None:
-            a = self.mat.copy()
-            a[0] = vec(np.eye(self.dim))
-            lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-            gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
-            rcond, _ = gecon(lu, np.linalg.norm(a, 1))
-            object.__setattr__(self, "_bordered", (lu, piv, float(rcond)))
-        lu, piv, rcond = self._bordered
+            b = self.real_form().copy()
+            b[0] = 0.0
+            b[0, :self.dim] = 1.0
+            try:
+                inv = np.linalg.inv(b)
+                inv.flags.writeable = False
+                rcond = 1.0 / (np.linalg.norm(b, 1) * np.linalg.norm(inv, 1))
+            except np.linalg.LinAlgError:
+                inv, rcond = None, 0.0
+            object.__setattr__(self, "_bordered", (inv, float(rcond)))
+        inv, rcond = self._bordered
         if not rcond >= np.finfo(float).eps:
             raise DegenerateSteadyStateError(
-                self.mat.shape[0] - int(np.linalg.matrix_rank(self.mat)))
-        return lu, piv
+                self.mat.shape[0] - int(np.linalg.matrix_rank(self.real_form())))
+        return inv
 
     def eigenvalues(self) -> np.ndarray:
         """The eigensystem's values if it exists, else ``eigvals``; kept."""
@@ -141,8 +240,8 @@ class LiouvillianMatrix:
                 values = self._eigensystem.values
             else:
                 try:
-                    values = scipy.linalg.eigvals(self.mat)
-                except scipy.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+                    values = np.linalg.eigvals(self.real_form()).astype(complex)
+                except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
                     raise NumericalInstabilityError(
                         f"eigendecomposition failed: {exc}") from exc
             values.flags.writeable = False
@@ -150,8 +249,12 @@ class LiouvillianMatrix:
         return self._eigenvalues
 
     def eigensystem(self) -> Eigensystem:
+        """Eigenpairs of the real form, with the eigenvectors mapped back to
+        column-stacked vectors (cond(V) is unchanged: T is unitary)."""
         if self._eigensystem is None:
-            object.__setattr__(self, "_eigensystem", Eigensystem.of(self.mat))
+            es = Eigensystem.of(self.real_form())
+            vectors = from_real(es.vectors, self.dim)
+            object.__setattr__(self, "_eigensystem", Eigensystem(es.values, vectors))
         return self._eigensystem
 
 
@@ -177,9 +280,10 @@ def vectorize(me: MasterEquation) -> LiouvillianMatrix:
     with H_eff = H - (i/2) sum_k L_k^dag L_k, assembled in one pass.
 
     Seen as a (d, d, d, d) array ``[i, j, k, l]`` (row ``i d + j``, column
-    ``k d + l``), the jump sum is one (K x d^2)^H (K x d^2) product and the
-    two H_eff terms are added into the ``[i, :, i, :]`` and ``[:, j, :, j]``
-    slices, so no Kronecker product is formed.
+    ``k d + l``), the jump sum is one (K x d^2)^H (K x d^2) product laid out
+    as ``[i, k, j, l]``.  There the two H_eff terms are strided row and
+    column slices (``i == k`` and ``j == l``), added before one transposing
+    copy, so no Kronecker product is formed.
     """
     h = me.H.mat
     d = h.shape[0]
@@ -188,11 +292,15 @@ def vectorize(me: MasterEquation) -> LiouvillianMatrix:
     h_eff = h - 0.5j * np.tensordot(jumps.conj(), jumps, axes=([0, 1], [0, 1]))
     flat = jumps.reshape(-1, d * d)
     # (flat^H flat)[(i, k), (j, l)] = sum_n conj(L_n[i, k]) L_n[j, l]
-    blocks = (flat.conj().T @ flat).reshape(d, d, d, d).transpose(0, 2, 1, 3).copy()
-    r = np.arange(d)
-    blocks[r, :, r, :] -= 1j * h_eff
-    blocks[:, r, :, r] += 1j * h_eff.conj()
-    return LiouvillianMatrix(space=me.space, mat=blocks.reshape(d * d, d * d))
+    blocks = flat.conj().T @ flat
+    blocks[::d + 1] -= 1j * h_eff.reshape(-1)
+    blocks[:, ::d + 1] += 1j * h_eff.conj().reshape(-1, 1)
+    mat = blocks.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    lv = LiouvillianMatrix(space=me.space, mat=mat)
+    # ``MasterEquation`` checks that H is Hermitian, so L preserves
+    # Hermiticity by construction and its real form needs no check
+    object.__setattr__(lv, "_real", _real_form(_in_hermitian_order(mat, d), d))
+    return lv
 
 
 @dataclass(frozen=True)
@@ -206,11 +314,12 @@ class SpectrumReport:
 def spectral_gap(lv: LiouvillianMatrix) -> SpectrumReport:
     """|Re| of the slowest decaying eigenvalue of the generator.
 
-    Uniqueness of the stationary state is checked on ``lv.bordered_lu()``
-    (``DegenerateSteadyStateError`` otherwise); the single eigenvalue with
-    the smallest |Re| is then the stationary one, and the next gives the gap.
+    Uniqueness of the stationary state is checked on
+    ``lv.bordered_inverse()`` (``DegenerateSteadyStateError`` otherwise);
+    the single eigenvalue with the smallest |Re| is then the stationary one,
+    and the next gives the gap.
     """
-    lv.bordered_lu()
+    lv.bordered_inverse()
     eigs = lv.eigenvalues()
     eigs = eigs[np.argsort(np.abs(eigs.real), kind="stable")]
     return SpectrumReport(eigenvalues=eigs, gap=float(abs(eigs[1].real)))
@@ -266,15 +375,14 @@ def mixed_ground_state(space) -> DensityMatrix:
 
 
 def steady_state(lv: LiouvillianMatrix) -> DensityMatrix:
-    """Unique stationary state, from the trace-bordered solve of
-    ``lv.bordered_lu()``, Hermitized and trace-normalized.
+    """Unique stationary state, column 0 of ``lv.bordered_inverse()`` mapped
+    back to vec form, Hermitized and trace-normalized.
 
     Raises ``NumericalInstabilityError`` if the solution leaves a relative
-    residual ||L x|| above 1e-10 ||L|| ||x|| or has an eigenvalue below -1e-6.
+    residual ||L x|| (on the complex ``lv.mat``) above 1e-10 ||L|| ||x|| or
+    has an eigenvalue below -1e-6.
     """
-    rhs = np.zeros(lv.mat.shape[0], dtype=complex)
-    rhs[0] = 1.0
-    x = scipy.linalg.lu_solve(lv.bordered_lu(), rhs, check_finite=False)
+    x = from_real(lv.bordered_inverse()[:, 0], lv.dim)
     residual = np.linalg.norm(lv.mat @ x)
     bound = 1e-10 * np.linalg.norm(lv.mat, 1) * np.linalg.norm(x)
     if not residual <= bound:

@@ -175,6 +175,16 @@ def ws_analytics(params: SystemParams) -> dict[str, float]:
     }
 
 
+def asymmetry_error(alpha: float) -> float:
+    """Fidelity loss from asymmetric atom-cavity couplings g (1 +/- alpha)."""
+    if abs(alpha) > 0.3:
+        warnings.warn(
+            f"asymmetry error evaluated outside validity range: alpha = {alpha}",
+            stacklevel=2,
+        )
+    return 3.0 * alpha * alpha
+
+
 # -- the scheme table ---------------------------------------------------------
 
 
@@ -218,19 +228,24 @@ class Scheme(NamedTuple):
     confinement flag.  A phase-fixed scheme is its own single component and
     carries its rules (preset parameters, static error as a function of C,
     closed-form gap at given parameters); a mixture has none, and its static
-    error and analytic gap are the weighted means of its components'."""
+    error and analytic gap are the weighted means of its components'.  The
+    optimal drive at fixed time and the asymmetry error are derived for S1
+    alone, so only its row has them."""
 
     components: tuple[tuple[float, SchemeId], ...]
     needs_confinement: bool
     preset: Callable[..., dict] | None = None
     static_error: Callable[[float], float] | None = None
     gap: Callable[[SystemParams], float] | None = None
+    optimal_drive: Callable[[float, SystemParams], dict] | None = None
+    asymmetry_error: Callable[[float], float] | None = None
 
 
 SCHEMES = {
     SchemeId.S1: Scheme(
         ((1.0, SchemeId.S1),), True, _s1_rule, lambda C: 1.5 / C,
-        lambda p: gap_s1_exact(p.Omega, p.gamma, p.Omega_MW)),
+        lambda p: gap_s1_exact(p.Omega, p.gamma, p.Omega_MW),
+        optimal_drive_for_time, asymmetry_error),
     SchemeId.S0: Scheme(
         ((1.0, SchemeId.S0),), True, functools.partial(_cavity_rule, 1, math.pi),
         lambda C: 3.5 / C, lambda p: (5.0 - _SQRT5) / 16.0 * (p.Omega ** 2 / p.gamma)),
@@ -329,21 +344,28 @@ def gap_analytic(scheme: SchemeId | str, params: SystemParams) -> float:
     return _row_rule(scheme, "gap", params)
 
 
+def optimal_drive(scheme: SchemeId | str, t: float,
+                  params: SystemParams) -> dict[str, float]:
+    """The scheme's closed-form optimal drive at fixed time t; ``ValueError``
+    for a scheme whose row has none."""
+    rule = SCHEMES[parse_scheme(scheme)].optimal_drive
+    if rule is None:
+        have = ", ".join(str(s) for s, row in SCHEMES.items() if row.optimal_drive)
+        raise ValueError(f"the optimal-drive closed form is derived for {have} only")
+    return rule(t, params)
+
+
+def analytic_asymmetry_error(scheme: SchemeId | str, alpha: float) -> float:
+    """The scheme's closed-form asymmetry error; NaN if its row has none."""
+    rule = SCHEMES[parse_scheme(scheme)].asymmetry_error
+    return math.nan if rule is None else rule(alpha)
+
+
 def slowest(comps: list[Component]) -> Component:
     """The component with the smallest analytic gap.  A static mixture
     relaxes at its slowest component's rate, so this one sets the full gap
     and the convergence time."""
     return min(comps, key=lambda c: gap_analytic(c.scheme, c.params))
-
-
-def asymmetry_error(alpha: float) -> float:
-    """Fidelity loss from asymmetric atom-cavity couplings g (1 +/- alpha)."""
-    if abs(alpha) > 0.3:
-        warnings.warn(
-            f"asymmetry error evaluated outside validity range: alpha = {alpha}",
-            stacklevel=2,
-        )
-    return 3.0 * alpha * alpha
 
 
 # -- numeric workflows shared by the CLI and the test suite -----------------

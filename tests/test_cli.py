@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cavsinglet
 from cavsinglet import schemes
 from cavsinglet.cli import main, microseconds, parse_rate
 
@@ -160,6 +165,37 @@ def test_sweep_asymmetry_csv(tmp_path, monkeypatch):
                       "error", "gap", "status"]
     assert len(rows) == 6  # two methods per grid point
     assert all(r[-1] == "ok" for r in rows)
+
+
+def test_sweep_asymmetry_closed_form_is_s1_only(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--axis", "asymmetry", "--start", "0.1", "--stop", "0.1",
+                 "--points", "1", "--schemes", "S1,T0", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    rows = {(r[2], r[3]): r for r in rows}
+    assert float(rows["S1", "analytic"][5]) == pytest.approx(3 * 0.1 ** 2)
+    assert math.isnan(float(rows["T0", "analytic"][5]))
+    assert 0.7 < float(rows["T0", "full"][4]) < 1.0
+
+
+def test_sweep_time_closed_form_is_s1_only(tmp_path):
+    out = tmp_path / "time.csv"
+    assert main(["sweep", "--axis", "time", "--start", "1000", "--stop", "1000",
+                 "--points", "1", "--schemes", "S1,S0", "--out", str(out)]) == 1
+    _, rows = read_csv(out)
+    rows = {r[2]: r for r in rows}
+    opt = schemes.optimal_drive_for_time(1000.0, schemes.preset("S1"))
+    assert rows["S1"][-1] == "ok"
+    assert float(rows["S1"][5]) == pytest.approx(opt["error"], rel=1e-11)
+    assert rows["S0"][-1] == "error: the optimal-drive closed form is derived for S1 only"
+
+
+def test_cli_import_needs_no_scipy():
+    src = Path(cavsinglet.__file__).resolve().parent.parent
+    subprocess.run(
+        [sys.executable, "-c",
+         "import cavsinglet.cli, sys; assert 'scipy' not in sys.modules"],
+        env=dict(os.environ, PYTHONPATH=str(src)), check=True)
 
 
 def test_sweep_deterministic_bytes(tmp_path, monkeypatch):

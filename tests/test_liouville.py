@@ -2,7 +2,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +9,7 @@ from cavsinglet import effective
 from cavsinglet.errors import (
     DegenerateSteadyStateError,
     DimensionMismatchError,
+    NotHermiticityPreservingError,
     NumericalInstabilityError,
 )
 from cavsinglet.hilbert import OperatorMatrix, build_space, named_state
@@ -19,6 +19,7 @@ from cavsinglet.liouville import (
     apply_generator,
     evolve_spectral,
     fidelity,
+    from_real,
     mixed_ground_state,
     propagate,
     spectral_gap,
@@ -129,6 +130,61 @@ class TestVectorize:
         assert err.value.steady_dim == 144
 
 
+def dense_hermitian_basis_map(d: int) -> np.ndarray:
+    """T with T vec(rho) = (rho_ii, sqrt2 Re rho_ij, sqrt2 Im rho_ij for
+    i < j), one row per coordinate, built from matrix units."""
+    def unit(i, j):
+        e = np.zeros((d, d), dtype=complex)
+        e[i, j] = 1.0
+        return vec(e)
+
+    pairs = list(zip(*np.triu_indices(d, 1)))
+    rows = [unit(i, i) for i in range(d)]
+    rows += [(unit(i, j) + unit(j, i)) / np.sqrt(2) for i, j in pairs]
+    rows += [-1j * (unit(i, j) - unit(j, i)) / np.sqrt(2) for i, j in pairs]
+    return np.array(rows)
+
+
+class TestRealForm:
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(
+        scheme=st.sampled_from(["S1", "S0", "T1", "T0", "WS"]),
+        log10_c=st.floats(1.0, 3.0),
+        omega_over_gamma=st.floats(0.05, 0.5),
+    )
+    def test_matches_dense_similarity_over_cli_domain(
+            self, scheme, log10_c, omega_over_gamma):
+        gamma, kappa = cavity_rates_for_cooperativity(10.0 ** log10_c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # regime warnings from preset
+            params = preset(scheme, gamma=gamma, kappa=kappa,
+                            Omega=omega_over_gamma * gamma)
+        lv = vectorize(build_master_equation(params))
+        t = dense_hermitian_basis_map(lv.dim)
+        assert np.abs(t @ t.conj().T - np.eye(len(t))).max() < 1e-15
+        norm_l = np.linalg.norm(lv.mat, 1)
+        dense = t @ lv.mat @ t.conj().T
+        assert lv.real_form().dtype == float
+        assert np.abs(lv.real_form() - dense).max() <= 1e-13 * norm_l
+        # same spectrum: every eigenvalue of R has one of L next to it
+        ref = np.linalg.eigvals(lv.mat)
+        for a, b in ((lv.eigenvalues(), ref), (ref, lv.eigenvalues())):
+            assert np.abs(a[:, None] - b[None, :]).min(axis=1).max() <= 1e-11 * norm_l
+
+    def test_coordinates_round_trip(self, rng):
+        space = build_space(1, 1)
+        lv = vectorize(random_master_equation(space, rng))
+        x = rng.normal(size=(12, 24)).view(complex)
+        rho = x @ x.conj().T
+        t = dense_hermitian_basis_map(12)
+        coords = t @ vec(rho)
+        assert np.abs(coords.imag).max() < 1e-12
+        back = from_real(coords.real, 12)
+        assert np.abs(back - vec(rho)).max() < 1e-12
+        # a random Lindblad generator preserves Hermiticity as well
+        assert np.abs((t @ lv.mat @ t.conj().T).imag).max() < 1e-12
+
+
 class TestSteadyState:
     def test_pure_decay_is_degenerate(self):
         # without drives every ground-sector operator is stationary:
@@ -204,7 +260,7 @@ class TestSpectrum:
     def test_gap_reuses_an_existing_eigensystem(self, monkeypatch):
         lv = vectorize(build_master_equation(preset(SchemeId.S1)))
         values = lv.eigensystem().values
-        monkeypatch.setattr(scipy.linalg, "eigvals", None)  # must not be called
+        monkeypatch.setattr(np.linalg, "eigvals", None)  # must not be called
         assert np.array_equal(lv.eigenvalues(), values)
         assert spectral_gap(lv).gap == sorted(abs(values.real))[1]
 
@@ -327,14 +383,29 @@ class TestSpectralEvolution:
         assert np.abs(slope - apply_generator(s1_master, rho0.mat)).max() < 1e-6
 
     def test_defective_generator_raises(self, s1_master):
-        # a 2x2 Jordan block has a single eigenvector, so V is singular
-        mat = np.diag(-np.arange(1.0, 145.0)).astype(complex)
-        mat[1, 1] = mat[0, 0]
-        mat[0, 1] = 1.0
+        # rho_ab decays at rate 1 + a + b, which preserves Hermiticity; a
+        # 2x2 Jordan block feeding rho_00 from rho_11 at the same rate has a
+        # single eigenvector, so V is singular
+        d = s1_master.dim
+        k = np.arange(d * d)
+        mat = np.diag(-(1.0 + k % d + k // d)).astype(complex)
+        i00, i11 = 0, 1 + d
+        mat[i11, i11] = mat[i00, i00]
+        mat[i00, i11] = 1.0
         lv = LiouvillianMatrix(space=s1_master.space, mat=mat)
         rho0 = mixed_ground_state(s1_master.space)
         with pytest.raises(NumericalInstabilityError, match=r"cond\(V\)"):
             evolve_spectral(lv, rho0, [1.0])
+
+    def test_non_hermiticity_preserving_matrix_raises(self, s1_master):
+        # rho_01 and rho_10 decay at different rates, so a Hermitian rho
+        # leaves the Hermitian operators: the real form would drop that
+        mat = np.diag(-np.arange(1.0, 145.0)).astype(complex)
+        lv = LiouvillianMatrix(space=s1_master.space, mat=mat)
+        with pytest.raises(NotHermiticityPreservingError):
+            lv.eigenvalues()
+        with pytest.raises(NotHermiticityPreservingError):
+            steady_state(lv)
 
     def test_time_to_convergence(self, strong_drive_run):
         me, lv, traj, rho_ss = strong_drive_run
