@@ -16,7 +16,6 @@ from .hilbert import (
     build_space,
     commutator,
     named_state,
-    tensor_embed,
 )
 from .model import MasterEquation, SystemParams, build_master_equation, make_space
 from .liouville import (
@@ -44,7 +43,7 @@ from .ratemodel import DressedBasis, RateMatrix, build_dressed_basis, build_rate
 
 __all__ = [
     "HilbertSpace", "OperatorMatrix", "StateVector", "build_space",
-    "commutator", "named_state", "tensor_embed",
+    "commutator", "named_state",
     "MasterEquation", "SystemParams", "build_master_equation", "make_space",
     "DensityMatrix", "SpectrumReport", "Trajectory", "fidelity",
     "mixed_ground_state", "propagate", "spectral_gap", "steady_state",

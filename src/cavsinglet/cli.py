@@ -283,12 +283,9 @@ def cmd_trajectory(args) -> int:
                 me = effective.reduce_dressed(
                     effective.partition(params)).as_master_equation()
             elif method == "rate":
-                if parse_scheme(args.scheme) is not SchemeId.S1:
-                    raise ValueError("rate model is defined for the S1 scheme only")
-                rm = ratemodel.build_rates(params, dressed=True)
+                rm = schemes.rate_model(args.scheme, params)
                 db = ratemodel.build_dressed_basis(params.Omega_MW, params.beta)
-                n = max(2, min(1001, int(args.t_final / dt / 50) + 2))
-                times = np.linspace(0.0, args.t_final, n)
+                times, _ = liouville.sample_grid(args.t_final, dt)
                 # populations in the (00, T, 11, S) order of the ground basis
                 bare0 = np.diag(_initial_state(
                     args.rho0, effective.GroundBasis(make_space(params))).mat).real

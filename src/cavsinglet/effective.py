@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalInstabilityError, SingularPropagatorError
-from .hilbert import HilbertSpace, OperatorMatrix, named_state
+from .hilbert import HilbertSpace, OperatorMatrix, excitation_count, named_state
 from .model import (
     MasterEquation,
     SystemParams,
@@ -110,9 +110,8 @@ def partition(params: SystemParams, space: HilbertSpace | None = None) -> Partit
         space = make_space(params)
     ground = GroundBasis(space)
     v_plus, v_minus = build_V(params, space)
-    ground_set = {("0", "0", 0), ("0", "1", 0), ("1", "0", 0), ("1", "1", 0)}
     excited_idx = np.array(
-        [i for i, lb in enumerate(space.labels) if lb not in ground_set], dtype=int
+        [i for i, lb in enumerate(space.labels) if excitation_count(lb) > 0], dtype=int
     )
     return PartitionedModel(
         params=params,

@@ -8,11 +8,12 @@ excitation number (atoms in ``e`` plus photons) exceeds a cap.  All objects
 are immutable after construction and safe to share between threads.
 
 ``build_space`` returns one shared ``HilbertSpace`` per ``(n_max,
-max_excitations)``.  The space caches its parameter-independent embedded
-operators (``atom_op_full``, ``annihilator_full``): each is computed on first
-use, marked read-only, and only then published with ``dict.setdefault``, so
-no cached array is ever written.  Threads that race on a first use may both
-compute it; the first stored copy wins and every caller gets that one.
+max_excitations)``.  The space builds its parameter-independent operators
+(``transition``, ``annihilator``) directly on the retained labels: each is
+computed on first use, marked read-only, and only then published with
+``dict.setdefault``, so no cached array is ever written.  Threads that race
+on a first use may both compute it; the first stored copy wins and every
+caller gets that one.
 """
 
 from __future__ import annotations
@@ -57,33 +58,20 @@ class HilbertSpace:
             )
         self.n_max = n_max
         self.max_excitations = max_excitations
-        self.full_labels: tuple[Label, ...] = tuple(
+        self.labels: tuple[Label, ...] = tuple(
             (a1, a2, n)
             for a1 in ATOM_LEVELS
             for a2 in ATOM_LEVELS
             for n in range(n_max + 1)
+            if max_excitations is None
+            or excitation_count((a1, a2, n)) <= max_excitations
         )
-        if max_excitations is None:
-            kept = self.full_labels
-        else:
-            kept = tuple(
-                lb for lb in self.full_labels
-                if excitation_count(lb) <= max_excitations
-            )
-        self.labels: tuple[Label, ...] = kept
-        self.index_map: dict[Label, int] = {lb: i for i, lb in enumerate(kept)}
-        self._full_index = {lb: i for i, lb in enumerate(self.full_labels)}
-        self._keep = np.array([self._full_index[lb] for lb in kept], dtype=int)
-        self._kept_block = np.ix_(self._keep, self._keep)
+        self.index_map: dict[Label, int] = {lb: i for i, lb in enumerate(self.labels)}
         self._operators: dict = {}
 
     @property
     def dim(self) -> int:
         return len(self.labels)
-
-    @property
-    def full_dim(self) -> int:
-        return len(self.full_labels)
 
     def __eq__(self, other):
         if not isinstance(other, HilbertSpace):
@@ -102,74 +90,42 @@ class HilbertSpace:
             f"max_excitations={self.max_excitations}, dim={self.dim})"
         )
 
-    def contains(self, label: Label) -> bool:
-        return label in self.index_map
-
     def index(self, label: Label) -> int:
         return self.index_map[label]
 
-    # -- full-space <-> truncated-space transport ---------------------------
+    # -- single-site operators on the retained basis -------------------------
 
-    def restrict(self, full_matrix: np.ndarray) -> np.ndarray:
-        """Project a full-product-space matrix onto the retained basis."""
-        return full_matrix[self._kept_block]
-
-    def expand(self, matrix: np.ndarray) -> np.ndarray:
-        """Zero-pad a truncated-space matrix back into the full product space."""
-        out = np.zeros((self.full_dim, self.full_dim), dtype=complex)
-        out[self._kept_block] = matrix
-        return out
-
-    # -- single-site operators in the full product space --------------------
-
-    def _cached(self, key, build) -> np.ndarray:
-        """Read-only result of ``build()``, computed once per ``key``."""
+    def _cached(self, key, image) -> np.ndarray:
+        """Read-only matrix taking each retained label to ``amp |out>``, where
+        ``(out, amp) = image(label)``, and to nothing unless ``out`` is
+        retained; built once per ``key``."""
         op = self._operators.get(key)
         if op is None:
-            op = build()
+            op = np.zeros((self.dim, self.dim), dtype=complex)
+            for j, label in enumerate(self.labels):
+                out, amp = image(label)
+                if amp and out in self.index_map:
+                    op[self.index_map[out], j] = amp
             op.flags.writeable = False
             op = self._operators.setdefault(key, op)
         return op
 
-    def atom_op_full(self, op3: np.ndarray, site: int) -> np.ndarray:
-        """Embed a 3x3 atomic operator at atom ``site`` (1 or 2), full space.
+    def transition(self, site: int, upper: str, lower: str) -> np.ndarray:
+        """|upper><lower| on atom ``site`` (1 or 2), identity elsewhere
+        (cached, read-only)."""
+        if site not in (1, 2) or not {upper, lower} <= set(ATOM_LEVELS):
+            raise ValueError(f"no transition |{upper}><{lower}| on atom {site}")
 
-        The result is cached per operator and site, and read-only.
-        """
-        op3 = np.asarray(op3, dtype=complex)
-        if op3.shape != (3, 3):
-            raise DimensionMismatchError(f"atomic operator must be 3x3, got {op3.shape}")
-        if site not in (1, 2):
-            raise ValueError(f"site must be 1 or 2, got {site}")
+        def image(label):
+            out = list(label)
+            out[site - 1] = upper
+            return tuple(out), float(label[site - 1] == lower)
 
-        def embed():
-            atoms = (op3, np.eye(3)) if site == 1 else (np.eye(3), op3)
-            return np.kron(np.kron(*atoms), np.eye(self.n_max + 1))
+        return self._cached(("atom", site, upper, lower), image)
 
-        return self._cached(("atom", site, op3.tobytes()), embed)
-
-    def photon_op_full(self, opf: np.ndarray) -> np.ndarray:
-        """Embed an (n_max+1) x (n_max+1) cavity operator, full space."""
-        opf = np.asarray(opf, dtype=complex)
-        nf = self.n_max + 1
-        if opf.shape != (nf, nf):
-            raise DimensionMismatchError(
-                f"cavity operator must be {nf}x{nf}, got {opf.shape}"
-            )
-        return np.kron(np.eye(9), opf)
-
-    def annihilator_full(self) -> np.ndarray:
-        """Cavity annihilation operator a in the full product space (cached,
-        read-only)."""
-        return self._cached("a", lambda: self.photon_op_full(
-            np.diag(np.sqrt(np.arange(1.0, self.n_max + 1)), k=1)))
-
-    @staticmethod
-    def atom_transition(upper: str, lower: str) -> np.ndarray:
-        """3x3 matrix |upper><lower| in the (0, 1, e) level ordering."""
-        op = np.zeros((3, 3), dtype=complex)
-        op[ATOM_LEVELS.index(upper), ATOM_LEVELS.index(lower)] = 1.0
-        return op
+    def annihilator(self) -> np.ndarray:
+        """Cavity annihilation operator a (cached, read-only)."""
+        return self._cached("a", lambda lb: ((lb[0], lb[1], lb[2] - 1), math.sqrt(lb[2])))
 
 
 _SPACES: dict[tuple[int, int | None], HilbertSpace] = {}
@@ -254,26 +210,6 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     return a @ b - b @ a
 
 
-def tensor_embed(space: HilbertSpace, op: np.ndarray, site: str) -> OperatorMatrix:
-    """Place a single-site operator at ``site`` with identities elsewhere,
-    projected onto the truncated basis.
-
-    ``site`` is one of ``"atom1"``, ``"atom2"``, ``"cavity"``.  Products of
-    separately embedded operators differ from the embedding of the product
-    whenever the intermediate state is truncated away; compose in the full
-    space first when that matters.
-    """
-    if site == "atom1":
-        full = space.atom_op_full(op, 1)
-    elif site == "atom2":
-        full = space.atom_op_full(op, 2)
-    elif site == "cavity":
-        full = space.photon_op_full(op)
-    else:
-        raise ValueError(f"unknown site {site!r}")
-    return OperatorMatrix(space, space.restrict(full))
-
-
 class StateVector:
     """Unit-norm dense state over a fixed basis."""
 
@@ -306,7 +242,7 @@ class StateVector:
 
 
 def basis_vector(space: HilbertSpace, label: Label) -> StateVector:
-    if not space.contains(label):
+    if label not in space.index_map:
         raise ValueError(f"label {label} is excluded from this space")
     v = np.zeros(space.dim, dtype=complex)
     v[space.index(label)] = 1.0
@@ -326,8 +262,6 @@ _TWO_ATOM_STATES: dict[str, dict[tuple[str, str], complex]] = {
     "T1": {("1", "e"): 1 / _SQRT2, ("e", "1"): 1 / _SQRT2},
     "S1": {("1", "e"): 1 / _SQRT2, ("e", "1"): -1 / _SQRT2},
 }
-
-STATE_NAMES = tuple(_TWO_ATOM_STATES) + ("psiS", "psi1")
 
 
 def named_state(
@@ -372,7 +306,7 @@ def named_state(
     v = np.zeros(space.dim, dtype=complex)
     for (a1, a2), amp in pairs.items():
         label = (a1, a2, photon)
-        if not space.contains(label):
+        if label not in space.index_map:
             raise ValueError(f"state {name!r} with photon={photon} is excluded "
                              f"by the truncation (label {label})")
         v[space.index(label)] = amp

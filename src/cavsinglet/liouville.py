@@ -426,34 +426,41 @@ class Trajectory:
         return out
 
 
+def sample_grid(t_final: float, dt: float) -> tuple[np.ndarray, float]:
+    """Uniform sample times on [0, t_final] and their step.
+
+    ``dt`` only places the samples: the run is cut into
+    ``n = ceil(t_final / dt)`` steps of ``h = t_final / n`` and sampled
+    every ``n // 1000`` steps and at the last one.
+    """
+    if dt <= 0 or t_final < 0:
+        raise ValueError(f"need dt > 0 and t_final >= 0, got {dt}, {t_final}")
+    if t_final == 0:
+        return np.array([0.0]), dt
+    n_steps = max(1, math.ceil(t_final / dt - 1e-12))
+    h = t_final / n_steps
+    steps = np.arange(0, n_steps + 1, max(1, n_steps // 1000))
+    if steps[-1] != n_steps:
+        steps = np.append(steps, n_steps)
+    return steps * h, h
+
+
 def propagate(
     me: MasterEquation,
     rho0: DensityMatrix,
     t_final: float,
     dt: float,
 ) -> Trajectory:
-    """Exact evolution of the master equation on a uniform sample grid.
-
-    ``dt`` only places the samples: the run is cut into
-    ``n = ceil(t_final / dt)`` steps of ``h = t_final / n`` and sampled
-    every ``n // 1000`` steps and at the last one.  The states come from
-    the generator's eigensystem, so they carry no step-size error; a
-    ``NumericalInstabilityError`` is raised if any sample's trace leaves
-    1 by more than ``TRACE_TOL``.
+    """Exact evolution of the master equation on the ``sample_grid``, from
+    the generator's eigensystem, so the states carry no step-size error; a
+    ``NumericalInstabilityError`` is raised if any sample's trace leaves 1
+    by more than ``TRACE_TOL``.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    times, h = sample_grid(t_final, dt)
     if rho0.space != me.space:
         raise DimensionMismatchError("initial state lives on a different space")
     if t_final == 0:
-        return Trajectory(me.space, np.array([0.0]),
-                          rho0.mat[np.newaxis].copy(), dt)
-    n_steps = max(1, math.ceil(t_final / dt - 1e-12))
-    h = t_final / n_steps
-    steps = np.arange(0, n_steps + 1, max(1, n_steps // 1000))
-    if steps[-1] != n_steps:
-        steps = np.append(steps, n_steps)
-    times = steps * h
+        return Trajectory(me.space, times, rho0.mat[np.newaxis].copy(), h)
     states = evolve_spectral(vectorize(me), rho0, times)
     drift = float(np.abs(np.einsum("nii->n", states) - 1.0).max())
     if not drift <= TRACE_TOL:

@@ -2,11 +2,12 @@
 three-level atoms in a lossy single-mode cavity.
 
 All rates are angular frequencies in units of the mean atom-cavity coupling
-``g`` (the presets set g = 1).  Each Hamiltonian term is assembled in the
-full product space and projected onto the truncated basis afterwards, so
-couplings between retained states are exact.  The embedded single-site
-operators come from the space's read-only cache, so a model build only
-combines them with its parameters.
+``g`` (the presets set g = 1).  Every term is summed from the space's cached
+read-only operators on the retained basis, so a model build only combines
+them with its parameters.  That is exact: every product formed from them
+(a^dag sigma_1e and a^dag a here, L^dag L in ``vectorize`` and the
+excited-sector elimination) lowers the excitation count before it raises it,
+so its intermediate state is retained whenever its endpoints are.
 """
 
 from __future__ import annotations
@@ -92,14 +93,12 @@ def build_Hg(params: SystemParams, space: HilbertSpace) -> OperatorMatrix:
     H_g = Omega_MW/2 sum_j (|1><0|_j + h.c.) + sum_j (beta + s_j b)|1><1|_j
     with s_1 = +1, s_2 = -1, so that <S|H_g|T> = -b.
     """
-    sigma_10 = HilbertSpace.atom_transition("1", "0")
-    proj_1 = HilbertSpace.atom_transition("1", "1")
-    full = np.zeros((space.full_dim, space.full_dim), dtype=complex)
+    h = np.zeros((space.dim, space.dim), dtype=complex)
     for site, sign in ((1, +1.0), (2, -1.0)):
-        flip = space.atom_op_full(sigma_10, site)
-        full += 0.5 * params.Omega_MW * (flip + flip.conj().T)
-        full += (params.beta + sign * params.b) * space.atom_op_full(proj_1, site)
-    return OperatorMatrix(space, space.restrict(full))
+        flip = space.transition(site, "1", "0")
+        h += 0.5 * params.Omega_MW * (flip + flip.conj().T)
+        h += (params.beta + sign * params.b) * space.transition(site, "1", "1")
+    return OperatorMatrix(space, h)
 
 
 def build_He(params: SystemParams, space: HilbertSpace) -> OperatorMatrix:
@@ -107,17 +106,15 @@ def build_He(params: SystemParams, space: HilbertSpace) -> OperatorMatrix:
 
     Per-atom couplings are g (1 + alpha) and g (1 - alpha).
     """
-    proj_e = HilbertSpace.atom_transition("e", "e")
-    sigma_1e = HilbertSpace.atom_transition("1", "e")
-    a_full = space.annihilator_full()
-    adag_full = a_full.conj().T
-    full = params.delta * (adag_full @ a_full)
+    a = space.annihilator()
+    adag = a.conj().T
+    h = params.delta * (adag @ a)
     for site, gj in ((1, params.g * (1 + params.alpha)),
                      (2, params.g * (1 - params.alpha))):
-        full += params.Delta * space.atom_op_full(proj_e, site)
-        lower = adag_full @ space.atom_op_full(sigma_1e, site)
-        full += gj * (lower + lower.conj().T)
-    return OperatorMatrix(space, space.restrict(full))
+        h += params.Delta * space.transition(site, "e", "e")
+        lower = adag @ space.transition(site, "1", "e")
+        h += gj * (lower + lower.conj().T)
+    return OperatorMatrix(space, h)
 
 
 def build_V(params: SystemParams, space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -126,28 +123,23 @@ def build_V(params: SystemParams, space: HilbertSpace) -> tuple[OperatorMatrix, 
     V+ = Omega/2 (|e><0|_1 + e^{i phi} |e><0|_2); phi = pi crosses the
     triplet and singlet sectors, phi = 0 stays within them.
     """
-    sigma_e0 = HilbertSpace.atom_transition("e", "0")
-    full = 0.5 * params.Omega * (
-        space.atom_op_full(sigma_e0, 1)
-        + np.exp(1j * params.phi) * space.atom_op_full(sigma_e0, 2)
-    )
-    v_plus = OperatorMatrix(space, space.restrict(full))
+    v_plus = OperatorMatrix(space, 0.5 * params.Omega * (
+        space.transition(1, "e", "0")
+        + np.exp(1j * params.phi) * space.transition(2, "e", "0")
+    ))
     return v_plus, v_plus.adjoint()
 
 
 def build_lindblads(params: SystemParams, space: HilbertSpace) -> dict[str, OperatorMatrix]:
     """Cavity loss and spontaneous emission with equal gamma/2 branching."""
     ops: dict[str, OperatorMatrix] = {
-        "kappa": OperatorMatrix(
-            space, math.sqrt(params.kappa) * space.restrict(space.annihilator_full())
-        )
+        "kappa": OperatorMatrix(space, math.sqrt(params.kappa) * space.annihilator())
     }
     rate = math.sqrt(params.gamma / 2.0)
     for target in ("0", "1"):
-        sigma = HilbertSpace.atom_transition(target, "e")
         for site in (1, 2):
             ops[f"gamma{target}_{site}"] = OperatorMatrix(
-                space, rate * space.restrict(space.atom_op_full(sigma, site))
+                space, rate * space.transition(site, target, "e")
             )
     return ops
 

@@ -17,7 +17,7 @@ import math
 import warnings
 from typing import Callable, NamedTuple
 
-from . import effective, liouville
+from . import effective, liouville, ratemodel
 from .errors import NoValidDriveError
 from .hilbert import named_state
 from .model import SystemParams, build_master_equation
@@ -229,8 +229,8 @@ class Scheme(NamedTuple):
     carries its rules (preset parameters, static error as a function of C,
     closed-form gap at given parameters); a mixture has none, and its static
     error and analytic gap are the weighted means of its components'.  The
-    optimal drive at fixed time and the asymmetry error are derived for S1
-    alone, so only its row has them."""
+    optimal drive at fixed time, the asymmetry error and the dressed
+    rate-equation model are derived for S1 alone, so only its row has them."""
 
     components: tuple[tuple[float, SchemeId], ...]
     needs_confinement: bool
@@ -239,13 +239,15 @@ class Scheme(NamedTuple):
     gap: Callable[[SystemParams], float] | None = None
     optimal_drive: Callable[[float, SystemParams], dict] | None = None
     asymmetry_error: Callable[[float], float] | None = None
+    rate_model: Callable[[SystemParams], ratemodel.RateMatrix] | None = None
 
 
 SCHEMES = {
     SchemeId.S1: Scheme(
         ((1.0, SchemeId.S1),), True, _s1_rule, lambda C: 1.5 / C,
         lambda p: gap_s1_exact(p.Omega, p.gamma, p.Omega_MW),
-        optimal_drive_for_time, asymmetry_error),
+        optimal_drive_for_time, asymmetry_error,
+        functools.partial(ratemodel.build_rates, dressed=True)),
     SchemeId.S0: Scheme(
         ((1.0, SchemeId.S0),), True, functools.partial(_cavity_rule, 1, math.pi),
         lambda C: 3.5 / C, lambda p: (5.0 - _SQRT5) / 16.0 * (p.Omega ** 2 / p.gamma)),
@@ -344,15 +346,25 @@ def gap_analytic(scheme: SchemeId | str, params: SystemParams) -> float:
     return _row_rule(scheme, "gap", params)
 
 
+def _derived_rule(scheme: SchemeId | str, rule: str, what: str) -> Callable:
+    """``scheme``'s rule, or ``ValueError`` naming the rows that have one."""
+    found = getattr(SCHEMES[parse_scheme(scheme)], rule)
+    if found is None:
+        have = ", ".join(str(s) for s, row in SCHEMES.items() if getattr(row, rule))
+        raise ValueError(f"the {what} is derived for {have} only")
+    return found
+
+
 def optimal_drive(scheme: SchemeId | str, t: float,
                   params: SystemParams) -> dict[str, float]:
     """The scheme's closed-form optimal drive at fixed time t; ``ValueError``
     for a scheme whose row has none."""
-    rule = SCHEMES[parse_scheme(scheme)].optimal_drive
-    if rule is None:
-        have = ", ".join(str(s) for s, row in SCHEMES.items() if row.optimal_drive)
-        raise ValueError(f"the optimal-drive closed form is derived for {have} only")
-    return rule(t, params)
+    return _derived_rule(scheme, "optimal_drive", "optimal-drive closed form")(t, params)
+
+
+def rate_model(scheme: SchemeId | str, params: SystemParams) -> ratemodel.RateMatrix:
+    """The scheme's dressed rate-equation model; ``ValueError`` if it has none."""
+    return _derived_rule(scheme, "rate_model", "rate model")(params)
 
 
 def analytic_asymmetry_error(scheme: SchemeId | str, alpha: float) -> float:

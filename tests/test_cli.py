@@ -253,6 +253,25 @@ def test_trajectory_multi_method(tmp_path):
     assert methods == {"full", "effective", "rate"}
 
 
+def test_trajectory_methods_share_one_time_grid(tmp_path):
+    out = tmp_path / "traj.csv"
+    methods = ["full", "effective", "dressed_effective", "rate"]
+    assert main(["trajectory", "--scheme", "S1", "--t-final", "20", "--methods",
+                 ",".join(methods), "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    times = {m: [r[0] for r in rows if r[1] == m] for m in methods}
+    assert len(times["full"]) == 401
+    assert all(times[m] == times["full"] for m in methods)
+
+
+def test_trajectory_rate_model_names_its_schemes(tmp_path):
+    out = tmp_path / "traj.csv"
+    assert main(["trajectory", "--scheme", "T0", "--t-final", "1", "--methods",
+                 "rate", "--out", str(out)]) == 1
+    _, rows = read_csv(out)
+    assert rows[0][-1] == "error: the rate model is derived for S1 only"
+
+
 def test_trajectory_named_start(tmp_path):
     out = tmp_path / "traj.csv"
     methods = ["full", "effective", "dressed_effective", "rate"]

@@ -1,3 +1,4 @@
+import itertools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -14,7 +15,6 @@ from cavsinglet.hilbert import (
     commutator,
     excitation_count,
     named_state,
-    tensor_embed,
 )
 
 # frozen basis ordering for the default space (n_max=1, <=1 excitation):
@@ -120,21 +120,12 @@ def test_space_mismatch_raises():
         _ = a @ b
 
 
-def test_tensor_embed_product_truncated():
+def test_transition_product_truncated():
     # raising both atoms from |11>|0> leaves the truncated space
     space = build_space(1, 1)
-    raise_op = HilbertSpace.atom_transition("e", "1")
-    r1 = tensor_embed(space, raise_op, "atom1")
-    r2 = tensor_embed(space, raise_op, "atom2")
+    both = space.transition(1, "e", "1") @ space.transition(2, "e", "1")
     start = basis_vector(space, ("1", "1", 0))
-    out = (r1 @ r2).mat @ start.vec
-    assert np.abs(out).max() == 0.0
-
-
-def test_restrict_expand_idempotent(rng):
-    space = build_space(1, 1)
-    m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-    assert np.array_equal(space.restrict(space.expand(m)), m)
+    assert np.abs(both @ start.vec).max() == 0.0
 
 
 def test_state_vector_norm_check():
@@ -155,10 +146,10 @@ def test_spaces_are_shared():
 
 def test_cached_operators_are_read_only():
     space = build_space(1, 1)
-    a = space.annihilator_full()
-    sigma = space.atom_op_full(HilbertSpace.atom_transition("e", "0"), 2)
-    assert space.annihilator_full() is a
-    assert space.atom_op_full(HilbertSpace.atom_transition("e", "0"), 2) is sigma
+    a = space.annihilator()
+    sigma = space.transition(2, "e", "0")
+    assert space.annihilator() is a
+    assert space.transition(2, "e", "0") is sigma
     with pytest.raises(ValueError):
         a += 1.0
     with pytest.raises(ValueError):
@@ -166,33 +157,59 @@ def test_cached_operators_are_read_only():
     assert a[0, 0] == 0.0 and sigma[0, 0] == 0.0
 
 
+def kron_reference(n_max, cap):
+    """Single-site operators as Kronecker embeddings in the full product
+    space, and the index block of the labels with at most ``cap``
+    excitations, from this test's own enumeration of the product ordering."""
+    labels = itertools.product("01e", "01e", range(n_max + 1))
+    keep = [k for k, (a1, a2, n) in enumerate(labels)
+            if cap is None or (a1 == "e") + (a2 == "e") + n <= cap]
+    eye3, eyef = np.eye(3), np.eye(n_max + 1)
+
+    def atom(site, upper, lower):
+        op = np.zeros((3, 3))
+        op["01e".index(upper), "01e".index(lower)] = 1.0
+        pair = (op, eye3) if site == 1 else (eye3, op)
+        return np.kron(np.kron(*pair), eyef)
+
+    a = np.kron(np.eye(9), np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=1))
+    return atom, a, np.ix_(keep, keep)
+
+
 def test_cached_operators_match_kron():
-    space = build_space(2, None)
-    op3 = np.arange(9.0).reshape(3, 3) + 1j
-    eye3, eyef = np.eye(3), np.eye(3)
-    assert np.array_equal(space.atom_op_full(op3, 1),
-                          np.kron(op3, np.kron(eye3, eyef)))
-    assert np.array_equal(space.atom_op_full(op3, 2),
-                          np.kron(eye3, np.kron(op3, eyef)))
-    a = np.diag([1.0, np.sqrt(2.0)], k=1)
-    assert np.array_equal(space.annihilator_full(), np.kron(np.eye(9), a))
+    for n_max, cap in [(1, 1), (1, None), (2, 1), (2, 2), (3, 2)]:
+        space = build_space(n_max, cap)
+        atom, a, block = kron_reference(n_max, cap)
+        for site, upper, lower in itertools.product((1, 2), "01e", "01e"):
+            assert np.array_equal(space.transition(site, upper, lower),
+                                  atom(site, upper, lower)[block])
+        assert np.array_equal(space.annihilator(), a[block])
+        # the model's products lower before they raise, so restricting the
+        # factors first gives the same bits
+        adag = space.annihilator().conj().T
+        assert np.array_equal(adag @ space.annihilator(), (a.T @ a)[block])
+        for site in (1, 2):
+            assert np.array_equal(adag @ space.transition(site, "1", "e"),
+                                  (a.T @ atom(site, "1", "e"))[block])
     with pytest.raises(ValueError):
-        space.atom_op_full(op3, 3)
+        space.transition(3, "e", "0")
+    with pytest.raises(ValueError):
+        space.transition(1, "e", "2")
 
 
 def test_operator_cache_hands_every_thread_one_array():
     space = HilbertSpace(1, 1)  # a fresh space, so the threads race to fill it
-    ops = [HilbertSpace.atom_transition(u, l) for u in "01e" for l in "01e"]
+    levels = list(itertools.product("01e", "01e"))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(
-                lambda k: space.atom_op_full(ops[k % 9], 1 + k % 2),
+                lambda k: space.transition(1 + k % 2, *levels[k % 9]),
                 range(360), timeout=60))
     finally:
         sys.setswitchinterval(interval)
-    # 18 distinct (operator, site) keys; every call for a key gets one array
+    # 18 distinct (site, upper, lower) keys; every call for a key gets one array
     for k, op in enumerate(results):
         assert op is results[k % 18]
         assert not op.flags.writeable

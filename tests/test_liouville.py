@@ -324,6 +324,8 @@ class TestPropagate:
         rho0 = mixed_ground_state(s1_master.space)
         with pytest.raises(ValueError):
             propagate(s1_master, rho0, 1.0, 0.0)
+        with pytest.raises(ValueError):  # no evolution backwards in time
+            propagate(s1_master, rho0, -1.0, 0.1)
         other = mixed_ground_state(build_space(1, None))
         with pytest.raises(DimensionMismatchError):
             propagate(s1_master, other, 1.0, 0.1)

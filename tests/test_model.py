@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -25,6 +26,17 @@ def space():
     return build_space(1, 1)
 
 
+def kept(full, space):
+    """The block of a full-product-space matrix on the labels with at most
+    ``space.max_excitations`` excitations, indexed by its own enumeration of
+    the atom1-major product ordering."""
+    labels = itertools.product("01e", "01e", range(space.n_max + 1))
+    keep = [k for k, (a1, a2, n) in enumerate(labels)
+            if space.max_excitations is None
+            or (a1 == "e") + (a2 == "e") + n <= space.max_excitations]
+    return full[np.ix_(keep, keep)]
+
+
 def brute_force_Hg(params, space):
     """Independent construction of the ground Hamiltonian by explicit kron."""
     flip = np.zeros((3, 3), dtype=complex)
@@ -36,7 +48,7 @@ def brute_force_Hg(params, space):
         np.kron(mw + (params.beta + params.b) * p1, np.kron(eye3, eye2))
         + np.kron(eye3, np.kron(mw + (params.beta - params.b) * p1, eye2))
     )
-    return space.restrict(full)
+    return kept(full, space)
 
 
 def brute_force_master_equation(params, space):
@@ -71,7 +83,7 @@ def brute_force_master_equation(params, space):
         for site in (1, 2):
             jumps[f"gamma{target}_{site}"] = \
                 math.sqrt(params.gamma / 2) * atom(unit(target, "e"), site)
-    return space.restrict(h), {k: space.restrict(v) for k, v in jumps.items()}
+    return kept(h, space), {k: kept(v, space) for k, v in jumps.items()}
 
 
 class TestGroundHamiltonian:
