@@ -14,7 +14,6 @@ from .hilbert import (
     OperatorMatrix,
     StateVector,
     build_space,
-    commutator,
     named_state,
 )
 from .model import MasterEquation, SystemParams, build_master_equation, make_space
@@ -42,8 +41,7 @@ from .schemes import SchemeId, gap_analytic, preset, static_error
 from .ratemodel import DressedBasis, RateMatrix, build_dressed_basis, build_rates
 
 __all__ = [
-    "HilbertSpace", "OperatorMatrix", "StateVector", "build_space",
-    "commutator", "named_state",
+    "HilbertSpace", "OperatorMatrix", "StateVector", "build_space", "named_state",
     "MasterEquation", "SystemParams", "build_master_equation", "make_space",
     "DensityMatrix", "SpectrumReport", "Trajectory", "fidelity",
     "mixed_ground_state", "propagate", "spectral_gap", "steady_state",

@@ -120,7 +120,7 @@ def microseconds(t_over_g: float, g_mhz: float) -> float:
 def cmd_steady(args) -> int:
     scheme = parse_scheme(args.scheme)
     comps = build_components(args)
-    fid, gap = schemes.fidelity_and_gap(comps)
+    fid, spectrum = schemes.fidelity_and_spectrum(comps)
     gap_eff = schemes.effective_gap(comps)
     params = schemes.slowest(comps).params
     C = params.cooperativity()
@@ -129,16 +129,19 @@ def cmd_steady(args) -> int:
     outputs = [
         {"name": "fidelity", "value": fid, "method": "full"},
         {"name": "fidelity", "value": fid_analytic, "method": "analytic"},
-        {"name": "gap", "value": gap, "method": "full"},
+        {"name": "gap", "value": spectrum.gap, "method": "full"},
         {"name": "gap", "value": gap_eff, "method": "effective"},
         {"name": "gap", "value": gap_analytic, "method": "analytic"},
-    ]
+    ] + [{"name": "gap", "value": value, "method": f"full/{sector}"}
+         for sector, value in zip(("even", "odd"), spectrum.sectors)]
     print(f"scheme {scheme}  C = {C:.4g}  Omega = {params.Omega:.4g} g")
     print(f"  fidelity  full {fid:.5f}   analytic {fid_analytic:.5f}   "
           f"deviation {fid - fid_analytic:+.4f}")
-    print(f"  gap       full {gap:.4e} g   effective {gap_eff:.4e} g   "
+    print(f"  gap       full {spectrum.gap:.4e} g   effective {gap_eff:.4e} g   "
           f"analytic {gap_analytic:.4e} g   "
           f"effective deviation {(gap_eff - gap_analytic) / gap_analytic:+.2%}")
+    if spectrum.sectors:
+        print("  sectors   full even {:.4e} g   odd {:.4e} g".format(*spectrum.sectors))
     record = run_record(scheme, comps, outputs, vars(args) | {"cmd": "steady"})
     out = Path(args.record) if args.record else Path(f"steady_{scheme}.json")
     write_record(record, out)
@@ -166,7 +169,8 @@ def _sweep_point(axis: str, value: float, scheme: SchemeId, args) -> list[list]:
             point.alpha = value
         comps = build_components(point)
         if axis == "drive":
-            fid, gap = schemes.fidelity_and_gap(comps)
+            fid, spectrum = schemes.fidelity_and_spectrum(comps)
+            gap = spectrum.gap
             analytic = [float("nan"), float("nan"),
                         schemes.gap_analytic(scheme, schemes.slowest(comps).params)]
         elif axis == "cooperativity":

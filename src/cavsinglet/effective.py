@@ -80,16 +80,6 @@ class PartitionedModel:
     lindblads: dict[str, OperatorMatrix]
     excited_idx: np.ndarray
 
-    @property
-    def ground_projector(self) -> OperatorMatrix:
-        return OperatorMatrix(self.space, self.ground.projector())
-
-    @property
-    def excited_projector(self) -> OperatorMatrix:
-        return OperatorMatrix(
-            self.space, np.eye(self.space.dim) - self.ground.projector()
-        )
-
     def validate(self, tol: float = 1e-12) -> "PartitionedModel":
         pg = self.ground.projector()
         pe = np.eye(self.space.dim) - pg

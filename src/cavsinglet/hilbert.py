@@ -144,7 +144,7 @@ def build_space(n_max: int = 1, max_excitations: int | None = None) -> HilbertSp
 class OperatorMatrix:
     """Dense complex operator over a fixed basis.
 
-    Supports +, -, scalar *, / and the operator product via ``@``.  Mixing
+    Supports +, -, scalar * and the operator product via ``@``.  Mixing
     operators from different spaces raises ``DimensionMismatchError``.
     """
 
@@ -171,16 +171,10 @@ class OperatorMatrix:
         self._check(other)
         return OperatorMatrix(self.space, self.mat - other.mat)
 
-    def __neg__(self):
-        return OperatorMatrix(self.space, -self.mat)
-
     def __mul__(self, scalar):
         return OperatorMatrix(self.space, self.mat * scalar)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return OperatorMatrix(self.space, self.mat / scalar)
 
     def __matmul__(self, other):
         self._check(other)
@@ -189,9 +183,6 @@ class OperatorMatrix:
     def adjoint(self) -> "OperatorMatrix":
         return OperatorMatrix(self.space, self.mat.conj().T)
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.mat))
-
     def norm(self) -> float:
         """Largest absolute entry."""
         return float(np.abs(self.mat).max()) if self.mat.size else 0.0
@@ -199,15 +190,6 @@ class OperatorMatrix:
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         scale = max(self.norm(), 1.0)
         return float(np.abs(self.mat - self.mat.conj().T).max()) <= tol * scale
-
-    def matrix_element(self, bra: "StateVector", ket: "StateVector") -> complex:
-        if bra.space != self.space or ket.space != self.space:
-            raise DimensionMismatchError("states live on a different space")
-        return complex(bra.vec.conj() @ (self.mat @ ket.vec))
-
-
-def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    return a @ b - b @ a
 
 
 class StateVector:
@@ -231,14 +213,6 @@ class StateVector:
             raise ValueError(f"state vector is not normalized, |v| = {nrm!r}")
         self.space = space
         self.vec = vec
-
-    def overlap(self, other: "StateVector") -> complex:
-        if self.space != other.space:
-            raise DimensionMismatchError("states live on different spaces")
-        return complex(self.vec.conj() @ other.vec)
-
-    def outer(self) -> OperatorMatrix:
-        return OperatorMatrix(self.space, np.outer(self.vec, self.vec.conj()))
 
 
 def basis_vector(space: HilbertSpace, label: Label) -> StateVector:

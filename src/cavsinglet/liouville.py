@@ -22,7 +22,7 @@ from .errors import (
     NotHermiticityPreservingError,
     NumericalInstabilityError,
 )
-from .hilbert import StateVector, named_state
+from .hilbert import StateVector, excitation_count, named_state
 from .model import MasterEquation
 
 # Above this condition number of the eigenvector matrix, V (c * exp(w t))
@@ -46,6 +46,11 @@ HERMITICITY_TOL = 1e-12
 TIME_CHUNK = 128
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def vec(rho: np.ndarray) -> np.ndarray:
     return np.asarray(rho, dtype=complex).reshape(-1, order="F")
 
@@ -64,16 +69,21 @@ class Eigensystem:
     vectors: np.ndarray
 
     @classmethod
-    def of(cls, mat: np.ndarray) -> "Eigensystem":
-        """Raises ``NumericalInstabilityError`` for a (nearly) defective ``mat``."""
-        values, vectors = np.linalg.eig(mat)
-        cond = np.linalg.cond(vectors)
+    def of(cls, blocks) -> "Eigensystem":
+        """Eigenpairs of sum W M W^T from its blocks ``[(W, M), ...]`` (W
+        orthonormal, ``None`` for a lone block); ``NumericalInstabilityError``
+        if the block-diagonal V has cond(V) above ``MAX_EIGENVECTOR_COND``."""
+        pairs = [np.linalg.eig(m) for _, m in blocks]
+        sv = np.concatenate([np.linalg.svd(v, compute_uv=False) for _, v in pairs])
+        cond = sv.max() / sv.min()
         if not cond <= MAX_EIGENVECTOR_COND:
             raise NumericalInstabilityError(
                 f"generator is not safely diagonalizable: cond(V) = {cond:.3e} "
                 f"exceeds {MAX_EIGENVECTOR_COND:.0e}"
             )
-        return cls(values.astype(complex, copy=False),
+        vectors = np.hstack([v if w is None else w @ v
+                             for (w, _), (_, v) in zip(blocks, pairs)])
+        return cls(np.concatenate([w for w, _ in pairs]).astype(complex, copy=False),
                    vectors.astype(complex, copy=False))
 
     def solution(self, v0: np.ndarray):
@@ -103,10 +113,7 @@ def _hermitian_order(d: int) -> tuple[np.ndarray, np.ndarray]:
     indices of a d^2 x d^2 matrix taken in that order on both axes."""
     i, j = np.triu_indices(d, 1)
     order = np.concatenate([np.arange(d) * (d + 1), i + j * d, j + i * d])
-    flat = order[:, None] * (d * d) + order
-    for a in (order, flat):
-        a.flags.writeable = False
-    return order, flat
+    return _readonly(order), _readonly(order[:, None] * (d * d) + order)
 
 
 def from_real(x: np.ndarray, d: int) -> np.ndarray:
@@ -160,8 +167,47 @@ def _real_form(m: np.ndarray, d: int) -> np.ndarray:
     np.subtract(ul.imag, uu.imag, out=out[U, Lo])
     np.add(uu.imag, ul.imag, out=out[Lo, U])
     np.subtract(uu.real, ul.real, out=out[Lo, Lo])
-    out.flags.writeable = False
-    return out
+    return _readonly(out)
+
+
+_SECTORS: dict = {}  # per space, published with setdefault like its operators
+
+
+def _exchange_sectors(space) -> tuple:
+    """``(take, sign, (W_even, W_odd))`` per candidate exchange symmetry U,
+    the atom swap and the swap times (-1)^excitations (none without atoms).
+
+    (U rho U^H)_ij = s_i s_j rho_pi(i)pi(j) is, on the real coordinates, the
+    signed permutation (Q x)_k = sign_k x_perm(k); an Im coordinate's sign
+    also flips when pi(i) > pi(j).  ``R.take(take)`` is R_perm(k)perm(l).
+    W_even and W_odd span Q = +1 and -1 with fixed coordinates and sums or
+    differences of swapped pairs, in coordinate order, so W_even starts
+    with rho_00."""
+    cached = _SECTORS.get(space)
+    if cached is not None or not all(isinstance(lb, tuple) for lb in space.labels):
+        return cached or ()
+    d = space.dim
+    swap = np.array([space.index_map[(b, a, n)] for a, b, n in space.labels])
+    i, j = np.triu_indices(d, 1)
+    si, sj = swap[i], swap[j]
+    pair = np.empty((d, d), dtype=int)
+    pair[i, j] = pair[j, i] = np.arange(len(i))
+    perm = np.concatenate([swap, d + pair[si, sj], d + len(i) + pair[si, sj]])
+    take, k = _readonly(perm[:, None] * (d * d) + perm), np.arange(d * d)
+    out, excited = [], (-1.0) ** np.array([excitation_count(lb) for lb in space.labels])
+    for s in (np.ones(d), excited):
+        sign = _readonly(np.concatenate(
+            [np.ones(d), s[i] * s[j], np.where(si > sj, -1.0, 1.0) * s[i] * s[j]]))
+        bases = []
+        for parity in (1.0, -1.0):
+            cols = k[(perm > k) | ((perm == k) & (sign == parity))]
+            h = np.where(perm[cols] == cols, 0.5, math.sqrt(0.5))
+            w = np.zeros((d * d, len(cols)))
+            w[cols, np.arange(len(cols))] = h
+            w[perm[cols], np.arange(len(cols))] += parity * sign[cols] * h
+            bases.append(_readonly(w))
+        out.append((take, sign, tuple(bases)))
+    return _SECTORS.setdefault(space, tuple(out))
 
 
 @dataclass(frozen=True)
@@ -169,18 +215,21 @@ class LiouvillianMatrix:
     """dim^2 x dim^2 generator acting on column-stacked density matrices.
 
     ``mat`` is the complex column-stacked matrix.  Every factorization runs
-    on its real form ``real_form()`` = T L T^H in the orthonormal Hermitian
-    operator basis, a unitary similarity, so spectra and eigenvector
-    conditioning are those of L at real-arithmetic cost.  All are computed
-    on first use and kept: ``bordered_inverse()`` serves the steady state
-    and the uniqueness test, ``eigensystem()`` serves time evolution, and
-    ``eigenvalues()`` serves gaps, from the eigensystem when one was built
-    first and otherwise from ``eigvals`` (about half the cost of ``eig``).
+    on the ``blocks()`` of its real form ``real_form()`` = T L T^H in the
+    orthonormal Hermitian operator basis, a unitary similarity, so spectra
+    and eigenvector conditioning are those of L at real-arithmetic cost.
+    The blocks are the two exchange sectors (80 + 64 or 72 + 72 for the
+    default 144) when the atom swap, alone or times (-1)^excitations,
+    commutes with L, else R itself.  All are computed on first use and
+    kept: ``bordered_inverse()`` serves the steady state and the uniqueness
+    test, ``eigensystem()`` time evolution, and ``eigenvalues()`` gaps, from
+    the eigensystem when one was built first, else from the cheaper ``eigvals``.
     """
 
     space: object
     mat: np.ndarray
     _real: np.ndarray | None = field(default=None, init=False, repr=False)
+    _blocks: list | None = field(default=None, init=False, repr=False)
     _bordered: tuple | None = field(default=None, init=False, repr=False)
     _eigenvalues: np.ndarray | None = field(default=None, init=False, repr=False)
     _eigensystem: Eigensystem | None = field(default=None, init=False, repr=False)
@@ -206,53 +255,72 @@ class LiouvillianMatrix:
             object.__setattr__(self, "_real", _real_form(m, self.dim))
         return self._real
 
-    def bordered_inverse(self) -> np.ndarray:
-        """Inverse of the real form with row 0 replaced by the trace
-        functional (1 on the diagonal coordinates).
+    def blocks(self) -> list:
+        """``(W, M)`` pairs with R = sum W M W^T: the blocks W^T R W of the
+        first ``_exchange_sectors`` symmetry Q whose dropped coupling,
+        (R - Q R Q^T) / 2, is within ``HERMITICITY_TOL`` of max|R| (a drive
+        phase of pi misses exactness by ~1e-17), else ``[(None, R)]``."""
+        if self._blocks is None:
+            r = self.real_form()
+            blocks = [(None, r)]
+            for take, sign, bases in _exchange_sectors(self.space):
+                image = sign[:, None] * r.take(take) * sign  # Q R Q^T
+                if np.abs(r - image).max() <= 2 * HERMITICITY_TOL * np.abs(r).max():
+                    blocks = [(w, _readonly(w.T @ r @ w)) for w in bases]
+                    break
+            object.__setattr__(self, "_blocks", blocks)
+        return self._blocks
 
-        Its column 0 is the unit-trace stationary state in real coordinates
-        (the trace-bordered solve of QuTiP's ``steadystate``).  The state is
-        unique iff the exact reciprocal condition number 1 / (||B||_1
-        ||B^-1||_1) is at least machine epsilon; otherwise, or if B is
+    def bordered_inverse(self) -> list:
+        """``(W, B^-1)`` per block of B, the real form with row 0 (rho_00,
+        first in the first block) replaced by the trace functional, both
+        exchange-invariant, so B splits as R does.
+
+        Column 0 of the first inverse is the unit-trace stationary state (the
+        trace-bordered solve of QuTiP's ``steadystate``).  It is unique iff
+        the exact reciprocal condition number 1 / (||B||_1 ||B^-1||_1) of the
+        block-diagonal B is at least machine epsilon; otherwise, or if B is
         singular, ``DegenerateSteadyStateError`` reports the nullity of L.
         """
         if self._bordered is None:
-            b = self.real_form().copy()
-            b[0] = 0.0
-            b[0, :self.dim] = 1.0
+            bases, bs = zip(*[(w, m.copy()) for w, m in self.blocks()])
+            trace = (np.arange(len(self.mat)) < self.dim).astype(float)
+            bs[0][0] = trace if bases[0] is None else trace @ bases[0]
             try:
-                inv = np.linalg.inv(b)
-                inv.flags.writeable = False
-                rcond = 1.0 / (np.linalg.norm(b, 1) * np.linalg.norm(inv, 1))
+                invs = [_readonly(np.linalg.inv(b)) for b in bs]
+                rcond = 1.0 / (max(np.linalg.norm(b, 1) for b in bs)
+                               * max(np.linalg.norm(inv, 1) for inv in invs))
+                pairs = list(zip(bases, invs))
             except np.linalg.LinAlgError:
-                inv, rcond = None, 0.0
-            object.__setattr__(self, "_bordered", (inv, float(rcond)))
-        inv, rcond = self._bordered
+                pairs, rcond = None, 0.0
+            object.__setattr__(self, "_bordered", (pairs, float(rcond)))
+        pairs, rcond = self._bordered
         if not rcond >= np.finfo(float).eps:
             raise DegenerateSteadyStateError(
                 self.mat.shape[0] - int(np.linalg.matrix_rank(self.real_form())))
-        return inv
+        return pairs
 
     def eigenvalues(self) -> np.ndarray:
-        """The eigensystem's values if it exists, else ``eigvals``; kept."""
+        """The eigensystem's values if it exists, else the blocks' ``eigvals``
+        in block order; kept."""
         if self._eigenvalues is None:
             if self._eigensystem is not None:
                 values = self._eigensystem.values
             else:
                 try:
-                    values = np.linalg.eigvals(self.real_form()).astype(complex)
+                    values = np.concatenate(
+                        [np.linalg.eigvals(m) for _, m in self.blocks()]).astype(complex)
                 except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
                     raise NumericalInstabilityError(
                         f"eigendecomposition failed: {exc}") from exc
-            values.flags.writeable = False
-            object.__setattr__(self, "_eigenvalues", values)
+            object.__setattr__(self, "_eigenvalues", _readonly(values))
         return self._eigenvalues
 
     def eigensystem(self) -> Eigensystem:
-        """Eigenpairs of the real form, with the eigenvectors mapped back to
-        column-stacked vectors (cond(V) is unchanged: T is unitary)."""
+        """Eigenpairs of the blocks, with the eigenvectors mapped back to
+        column-stacked vectors (cond(V) is unchanged: T and W are unitary)."""
         if self._eigensystem is None:
-            es = Eigensystem.of(self.real_form())
+            es = Eigensystem.of(self.blocks())
             vectors = from_real(es.vectors, self.dim)
             object.__setattr__(self, "_eigensystem", Eigensystem(es.values, vectors))
         return self._eigensystem
@@ -305,10 +373,13 @@ def vectorize(me: MasterEquation) -> LiouvillianMatrix:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Liouvillian eigenvalues sorted by |Re| ascending, with the gap."""
+    """Liouvillian eigenvalues sorted by |Re| ascending, with the gap and,
+    for a generator split by ``LiouvillianMatrix.blocks``, the gap of each
+    sector (even, odd): the stationary eigenvalue is even."""
 
     eigenvalues: np.ndarray
     gap: float
+    sectors: tuple[float, ...] = ()
 
 
 def spectral_gap(lv: LiouvillianMatrix) -> SpectrumReport:
@@ -321,8 +392,12 @@ def spectral_gap(lv: LiouvillianMatrix) -> SpectrumReport:
     """
     lv.bordered_inverse()
     eigs = lv.eigenvalues()
+    even, *odd = np.split(np.abs(eigs.real),
+                          np.cumsum([len(m) for _, m in lv.blocks()])[:-1])
+    sectors = (float(np.sort(even)[1]), float(odd[0].min())) if odd else ()
     eigs = eigs[np.argsort(np.abs(eigs.real), kind="stable")]
-    return SpectrumReport(eigenvalues=eigs, gap=float(abs(eigs[1].real)))
+    return SpectrumReport(eigenvalues=eigs, gap=float(abs(eigs[1].real)),
+                          sectors=sectors)
 
 
 @dataclass(frozen=True)
@@ -344,10 +419,6 @@ class DensityMatrix:
                 f"density matrix has negative eigenvalue {w.min():.3e}"
             )
         return self
-
-    @classmethod
-    def pure(cls, state: StateVector) -> "DensityMatrix":
-        return cls(state.space, np.outer(state.vec, state.vec.conj()))
 
 
 def _is_ground_basis(space) -> bool:
@@ -375,14 +446,15 @@ def mixed_ground_state(space) -> DensityMatrix:
 
 
 def steady_state(lv: LiouvillianMatrix) -> DensityMatrix:
-    """Unique stationary state, column 0 of ``lv.bordered_inverse()`` mapped
-    back to vec form, Hermitized and trace-normalized.
+    """Unique stationary state, column 0 of ``lv.bordered_inverse()[0]``
+    mapped back to vec form, Hermitized and trace-normalized.
 
     Raises ``NumericalInstabilityError`` if the solution leaves a relative
     residual ||L x|| (on the complex ``lv.mat``) above 1e-10 ||L|| ||x|| or
     has an eigenvalue below -1e-6.
     """
-    x = from_real(lv.bordered_inverse()[:, 0], lv.dim)
+    w, inv = lv.bordered_inverse()[0]
+    x = from_real(inv[:, 0] if w is None else w @ inv[:, 0], lv.dim)
     residual = np.linalg.norm(lv.mat @ x)
     bound = 1e-10 * np.linalg.norm(lv.mat, 1) * np.linalg.norm(x)
     if not residual <= bound:

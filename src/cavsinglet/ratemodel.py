@@ -167,7 +167,7 @@ def slow_left_eigenvector(rm: RateMatrix) -> np.ndarray:
 
 def evolve(rm: RateMatrix, p0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Populations at the given times, from the eigendecomposition."""
-    return Eigensystem.of(rm.matrix).solution(p0)(times).real
+    return Eigensystem.of([(None, rm.matrix)]).solution(p0)(times).real
 
 
 def recycling_model(params: SystemParams) -> dict[str, float]:

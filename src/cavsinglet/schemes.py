@@ -420,12 +420,13 @@ def scheme_numeric_fidelity(
                                        Omega=Omega))
 
 
-def fidelity_and_gap(comps: list[Component]) -> tuple[float, float]:
-    """Weighted steady-state fidelity and the full-model gap of the slowest
-    component, each component's generator built once."""
+def fidelity_and_spectrum(comps: list[Component]
+                          ) -> tuple[float, liouville.SpectrumReport]:
+    """Weighted steady-state fidelity and the full-model spectrum of the
+    slowest component, each component's generator built once."""
     lvs = [liouville.vectorize(build_master_equation(c.params)) for c in comps]
     fid = mixture_fidelity(comps, [steady_fidelity(lv) for lv in lvs])
-    return fid, liouville.spectral_gap(lvs[comps.index(slowest(comps))]).gap
+    return fid, liouville.spectral_gap(lvs[comps.index(slowest(comps))])
 
 
 def effective_gap(comps: list[Component]) -> float:

@@ -134,8 +134,8 @@ def test_criterion_3_spectral_gap(s1_params, s1_liouvillian):
     devs = []
     for frac in (0.1, 0.2, 0.3, 0.4, 0.5):
         p = preset(SchemeId.S1, Omega=frac * 0.375)
-        _, num = schemes.fidelity_and_gap(schemes.components(
-            SchemeId.S1, Omega=frac * 0.375))
+        num = schemes.fidelity_and_spectrum(schemes.components(
+            SchemeId.S1, Omega=frac * 0.375))[1].gap
         ana = schemes.gap_analytic(SchemeId.S1, p)
         devs.append(rel_dev(num, ana))
     assert max(devs) <= 0.15
@@ -216,7 +216,7 @@ def test_criterion_6_effective_operator_oracle(rng):
             (named_state(sp, "11", 1), named_state(sp, "T1"), 1 / cd.g_eff[2]),
         ]
         for bra, ket, want in checks:
-            got = inv.matrix_element(bra, ket)
+            got = bra.vec.conj() @ (inv.mat @ ket.vec)
             worst = max(worst, abs(got - want) / abs(want))
     assert worst <= 1e-10
 
@@ -317,10 +317,11 @@ def test_criterion_9_structural(weak_trajectories, s1_params, s1_liouvillian,
     s1 = named_state(space, "S1")
     he = build_He(s1_params, space)
     for name in ("00", "T", "11", "S"):
-        amp = he.matrix_element(s1, named_state(space, name, photon=1))
+        amp = s1.vec.conj() @ (he.mat @ named_state(space, name, photon=1).vec)
         assert amp == 0.0, name
     he_asym = build_He(s1_params.replace(alpha=0.1), space)
-    coupled = abs(he_asym.matrix_element(s1, named_state(space, "11", photon=1)))
+    coupled = abs(s1.vec.conj() @ (he_asym.mat
+                                   @ named_state(space, "11", photon=1).vec))
     assert coupled > 0.1
 
     report(9, f"trace drift {max_drift:.1e} <= 1e-8; steady residual "

@@ -45,9 +45,27 @@ def test_steady_s1(tmp_path, capsys):
     fid = [o for o in data["outputs"]
            if o["name"] == "fidelity" and o["method"] == "full"][0]["value"]
     assert fid == pytest.approx(0.92, abs=0.01)
-    assert {o["method"] for o in data["outputs"]} == {"full", "effective", "analytic"}
+    # S1 has the exchange symmetry, so the record holds both sector gaps
+    assert {o["method"] for o in data["outputs"]} == {
+        "full", "effective", "analytic", "full/even", "full/odd"}
     assert "config_hash" in data["provenance"]
     assert data["params"]["phi"] == pytest.approx(math.pi)
+
+
+def test_steady_records_sector_gaps_when_the_model_splits(tmp_path):
+    def gaps(*flags):
+        record = tmp_path / "run.json"
+        assert main(["steady", *flags, "--record", str(record)]) == 0
+        outputs = json.loads(record.read_text())["outputs"]
+        return {o["method"]: o["value"] for o in outputs if o["name"] == "gap"}
+
+    # S0's full gap is an odd-sector mode; the even sector holds the
+    # stationary state and is within 1% of the analytic gap
+    s0 = gaps("--scheme", "S0", "--C", "1000")
+    assert s0["full"] == s0["full/odd"] < s0["full/even"]
+    assert s0["full/even"] == pytest.approx(s0["analytic"], rel=0.01)
+    for flags in (["--scheme", "T0", "--alpha", "0.05"], ["--scheme", "WS"]):
+        assert set(gaps(*flags)) == {"full", "effective", "analytic"}
 
 
 def test_steady_t0_value(tmp_path):

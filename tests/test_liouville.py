@@ -12,10 +12,16 @@ from cavsinglet.errors import (
     NotHermiticityPreservingError,
     NumericalInstabilityError,
 )
-from cavsinglet.hilbert import OperatorMatrix, build_space, named_state
+from cavsinglet.hilbert import (
+    OperatorMatrix,
+    build_space,
+    excitation_count,
+    named_state,
+)
 from cavsinglet.liouville import (
     DensityMatrix,
     LiouvillianMatrix,
+    _exchange_sectors,
     apply_generator,
     evolve_spectral,
     fidelity,
@@ -185,6 +191,84 @@ class TestRealForm:
         assert np.abs((t @ lv.mat @ t.conj().T).imag).max() < 1e-12
 
 
+def exchange_superoperator(space, parity: bool) -> np.ndarray:
+    """conj(U) (x) U for U the atom swap, times (-1)^excitations if
+    ``parity``: the column-stacked action of rho -> U rho U^H."""
+    u = np.zeros((space.dim, space.dim))
+    for k, (a, b, n) in enumerate(space.labels):
+        sign = (-1.0) ** excitation_count((a, b, n)) if parity else 1.0
+        u[space.index((b, a, n)), k] = sign
+    return np.kron(u, u)
+
+
+def one_block_steady_vector(lv) -> np.ndarray:
+    """Column 0 of the inverse of the whole trace-bordered real form."""
+    b = lv.real_form().copy()
+    b[0] = 0.0
+    b[0, :lv.dim] = 1.0
+    return from_real(np.linalg.inv(b)[:, 0], lv.dim)
+
+
+class TestExchangeSectors:
+    @pytest.mark.parametrize("n_max,cap", [(1, 1), (1, None), (2, 2)])
+    def test_signed_permutation_of_the_real_coordinates(self, n_max, cap, rng):
+        space = build_space(n_max, cap)
+        t = dense_hermitian_basis_map(space.dim)
+        sectors = _exchange_sectors(space)
+        assert _exchange_sectors(space) is sectors  # cached per space
+        for parity, (take, sign, bases) in zip((False, True), sectors):
+            q = t @ exchange_superoperator(space, parity) @ t.conj().T
+            assert np.abs(q.imag).max() < 1e-15
+            q = q.real
+            r = rng.normal(size=q.shape)
+            image = sign[:, None] * r.take(take) * sign
+            assert np.abs(image - q @ r @ q.T).max() < 1e-12
+            w = np.hstack(bases)
+            assert np.abs(w.T @ w - np.eye(len(w))).max() < 1e-15
+            assert np.abs(q @ bases[0] - bases[0]).max() < 1e-15
+            assert np.abs(q @ bases[1] + bases[1]).max() < 1e-15
+            assert bases[0][0, 0] == 1.0  # rho_00 leads the even sector
+            assert not any(a.flags.writeable for a in (take, sign, *bases))
+
+    def test_ground_basis_has_no_sectors(self, s1_params):
+        assert _exchange_sectors(effective.partition(s1_params).ground) == ()
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        scheme=st.sampled_from(["S1", "S0", "T1", "T0", "WS"]),
+        log10_c=st.floats(1.0, 3.0),
+        omega_over_gamma=st.floats(0.05, 0.5),
+        alpha=st.one_of(st.just(0.0), st.floats(0.01, 0.3)),
+        b=st.one_of(st.none(), st.floats(0.005, 0.05)),  # None: the preset's
+    )
+    @example(scheme="S0", log10_c=3.0, omega_over_gamma=0.05, alpha=0.0, b=None)
+    def test_split_over_cli_domain(self, scheme, log10_c, omega_over_gamma, alpha, b):
+        gamma, kappa = cavity_rates_for_cooperativity(10.0 ** log10_c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # regime warnings from preset
+            params = preset(scheme, gamma=gamma, kappa=kappa,
+                            Omega=omega_over_gamma * gamma)
+        params = params.replace(alpha=alpha, b=params.b if b is None else b)
+        lv = vectorize(build_master_equation(params))
+        blocks = lv.blocks()
+        # WS (the +-b shift), any alpha != 0 and any b != 0 break the swap
+        if scheme == "WS" or alpha != 0.0 or b is not None:
+            assert len(blocks) == 1 and blocks[0][0] is None
+            assert spectral_gap(lv).sectors == ()
+            return
+        sizes = {"T0": (80, 64), "T1": (80, 64), "S1": (72, 72), "S0": (72, 72)}
+        assert tuple(len(m) for _, m in blocks) == sizes[scheme]
+        norm_l = np.linalg.norm(lv.mat, 1)
+        ref = np.linalg.eigvals(lv.real_form())
+        for x, y in ((lv.eigenvalues(), ref), (ref, lv.eigenvalues())):
+            assert np.abs(x[:, None] - y[None, :]).min(axis=1).max() <= 1e-11 * norm_l
+        report = spectral_gap(lv)
+        assert min(report.sectors) == report.gap
+        w, inv = lv.bordered_inverse()[0]
+        split = from_real(w @ inv[:, 0], lv.dim)
+        assert np.abs(split - one_block_steady_vector(lv)).max() <= 1e-12
+
+
 class TestSteadyState:
     def test_pure_decay_is_degenerate(self):
         # without drives every ground-sector operator is stationary:
@@ -305,6 +389,22 @@ class TestPropagate:
         assert traj.states.shape == ref.shape  # 1000 steps: every one sampled
         assert np.abs(traj.states - ref).max() < 1e-8
 
+    @pytest.mark.parametrize("scheme", [SchemeId.T0, SchemeId.S1])
+    def test_asymmetric_start_matches_reference_rk4(self, scheme):
+        # |0,1,0><0,1,0| is not swap-invariant, so both sectors evolve
+        me = build_master_equation(preset(scheme))
+        lv = vectorize(me)
+        assert len(lv.blocks()) == 2
+        psi = np.zeros(me.dim)
+        psi[me.space.index(("0", "1", 0))] = 1.0
+        rho0 = DensityMatrix(me.space, np.outer(psi, psi).astype(complex))
+        # RK4's own error at dt = 0.05 is 4e-8 on T0, so the reference takes
+        # 2000 steps, every second one sampled
+        traj = propagate(me, rho0, 50.0, 0.025)
+        ref = rk4_states(lv.mat, rho0, 50.0, 0.025)[::2]
+        assert traj.states.shape == ref.shape
+        assert np.abs(traj.states - ref).max() < 1e-8
+
     def test_large_dt_only_coarsens_the_grid(self, s1_master):
         rho0 = mixed_ground_state(s1_master.space)
         traj = propagate(s1_master, rho0, 10.0, 4.0)
@@ -342,7 +442,8 @@ class TestPropagate:
 class TestFidelity:
     def test_pure_state(self, s1_master):
         s = named_state(s1_master.space, "S")
-        assert fidelity(DensityMatrix.pure(s), s) == pytest.approx(1.0, abs=1e-14)
+        rho = DensityMatrix(s.space, np.outer(s.vec, s.vec.conj()))
+        assert fidelity(rho, s) == pytest.approx(1.0, abs=1e-14)
 
     def test_maximally_mixed(self, s1_master):
         d = s1_master.space.dim

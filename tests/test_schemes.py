@@ -13,7 +13,7 @@ from cavsinglet.schemes import (
     components,
     drive_for_dynamic_error,
     error_vs_drive_s1,
-    fidelity_and_gap,
+    fidelity_and_spectrum,
     gap_analytic,
     gap_s1_exact,
     needs_confinement,
@@ -32,7 +32,7 @@ SQ2 = math.sqrt(2.0)
 
 
 def full_gap(scheme, **preset_args):
-    return fidelity_and_gap(components(scheme, **preset_args))[1]
+    return fidelity_and_spectrum(components(scheme, **preset_args))[1].gap
 
 
 class TestPresets:
