@@ -97,11 +97,25 @@ def write_record(record: dict, path: Path) -> None:
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """Floats as %.11e, other cells as ``csv.writer`` writes them.  A row of
+    floats and strings is one %-format, cached per cell-type signature; csv
+    writes any other row, and any whose text it would quote."""
+    formats: dict = {}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([f"{x:.11e}" if isinstance(x, float) else x for x in row]
-                         for row in rows)
+        for row in rows:
+            kinds = tuple(map(type, row))
+            if kinds not in formats:  # "": another cell type, so csv writes it
+                formats[kinds] = ",".join(
+                    "%.11e" if issubclass(k, float) else "%s" for k in kinds
+                ) if all(issubclass(k, (float, str)) for k in kinds) else ""
+            line = formats[kinds] and formats[kinds] % tuple(row)
+            if line and line.count(",") == len(row) - 1 and '"' not in line \
+                    and "\n" not in line and "\r" not in line:
+                fh.write(line + "\r\n")
+            else:
+                writer.writerow([f"{x:.11e}" if isinstance(x, float) else x for x in row])
 
 
 def _workers() -> int:
@@ -305,8 +319,7 @@ def cmd_trajectory(args) -> int:
             rho0 = _initial_state(args.rho0, me.space)
             traj = liouville.propagate(me, rho0, args.t_final, dt)
             _, data = liouville.trajectory_csv_rows(traj)
-            for data_row in data:
-                rows.append([data_row[0], method] + data_row[1:])
+            rows.extend([t, method, *pops] for t, *pops in data)
         except Exception as exc:  # noqa: BLE001 - per-method failures isolated
             failed = True
             rows.append([0.0, method, float("nan"), float("nan"), float("nan"),

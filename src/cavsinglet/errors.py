@@ -37,7 +37,3 @@ class SingularPropagatorError(RuntimeError):
 
 class NoValidDriveError(ValueError):
     """The requested preparation time is too short for an optimal drive."""
-
-
-class RecyclingDivergenceError(ValueError):
-    """The recycling bottleneck model diverges without microwave driving."""

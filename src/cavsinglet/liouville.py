@@ -193,21 +193,31 @@ def _exchange_sectors(space) -> tuple:
     pair = np.empty((d, d), dtype=int)
     pair[i, j] = pair[j, i] = np.arange(len(i))
     perm = np.concatenate([swap, d + pair[si, sj], d + len(i) + pair[si, sj]])
-    take, k = _readonly(perm[:, None] * (d * d) + perm), np.arange(d * d)
+    take = _readonly(perm[:, None] * (d * d) + perm)
     out, excited = [], (-1.0) ** np.array([excitation_count(lb) for lb in space.labels])
     for s in (np.ones(d), excited):
         sign = _readonly(np.concatenate(
             [np.ones(d), s[i] * s[j], np.where(si > sj, -1.0, 1.0) * s[i] * s[j]]))
         bases = []
         for parity in (1.0, -1.0):
-            cols = k[(perm > k) | ((perm == k) & (sign == parity))]
-            h = np.where(perm[cols] == cols, 0.5, math.sqrt(0.5))
+            cols, partner, flip = _sector_coordinates(perm, sign, parity)
+            h = np.where(partner == cols, 0.5, math.sqrt(0.5))
             w = np.zeros((d * d, len(cols)))
             w[cols, np.arange(len(cols))] = h
-            w[perm[cols], np.arange(len(cols))] += parity * sign[cols] * h
+            w[partner, np.arange(len(cols))] += flip * h
             bases.append(_readonly(w))
         out.append((take, sign, tuple(bases)))
     return _SECTORS.setdefault(space, tuple(out))
+
+
+def _sector_coordinates(perm, sign, parity: float) -> tuple:
+    """Per basis vector of Q's ``parity`` sector, in coordinate order: its
+    leading coordinate k, the partner perm(k) and the partner's relative
+    sign parity sign_k.  The vector is e_k for a fixed coordinate (perm(k) =
+    k), else (e_k + flip e_perm(k)) / sqrt 2."""
+    k = np.arange(len(perm))
+    lead = k[(perm > k) | ((perm == k) & (sign == parity))]
+    return lead, perm[lead], parity * sign[lead]
 
 
 @dataclass(frozen=True)
@@ -259,14 +269,33 @@ class LiouvillianMatrix:
         """``(W, M)`` pairs with R = sum W M W^T: the blocks W^T R W of the
         first ``_exchange_sectors`` symmetry Q whose dropped coupling,
         (R - Q R Q^T) / 2, is within ``HERMITICITY_TOL`` of max|R| (a drive
-        phase of pi misses exactness by ~1e-17), else ``[(None, R)]``."""
+        phase of pi misses exactness by ~1e-17), else ``[(None, R)]``.
+        W^T R W = W^T S W for the part S of R that commutes with Q, so its
+        entries are (S_kl + flip_l S_k,perm(l)) c_k c_l on the leading
+        coordinates of ``_sector_coordinates``, c = sqrt(1/2) where fixed,
+        else 1: no matrix product."""
         if self._blocks is None:
             r = self.real_form()
-            blocks = [(None, r)]
-            for take, sign, bases in _exchange_sectors(self.space):
-                image = sign[:, None] * r.take(take) * sign  # Q R Q^T
-                if np.abs(r - image).max() <= 2 * HERMITICITY_TOL * np.abs(r).max():
-                    blocks = [(w, _readonly(w.T @ r @ w)) for w in bases]
+            blocks, sectors = [(None, r)], _exchange_sectors(self.space)
+            if sectors:  # both candidates permute alike; only their signs differ
+                gathered = r.take(sectors[0][0])
+                perm = sectors[0][0][0] % len(r)  # take[0] = perm[0] n + perm
+                tol = 2 * HERMITICITY_TOL * max(r.max(), -r.min())
+            for take, sign, bases in sectors:
+                sym = sign[:, None] * gathered
+                sym *= sign  # Q R Q^T
+                sym -= r
+                if max(sym.max(), -sym.min()) <= tol:
+                    sym *= 0.5
+                    sym += r  # S = (R + Q R Q^T) / 2
+                    blocks = []
+                    for parity, w in zip((1.0, -1.0), bases):
+                        lead, partner, flip = _sector_coordinates(perm, sign, parity)
+                        rows = sym[lead]
+                        c = np.where(partner == lead, math.sqrt(0.5), 1.0)
+                        m = (rows[:, partner] * flip + rows[:, lead]) * c[:, None]
+                        m *= c
+                        blocks.append((w, _readonly(m)))
                     break
             object.__setattr__(self, "_blocks", blocks)
         return self._blocks
@@ -601,7 +630,4 @@ def trajectory_csv_rows(traj: Trajectory) -> tuple[list[str], list[list[float]]]
     """Header and rows for the standard trajectory CSV layout."""
     pops = traj.populations()
     header = ["t", "P_00", "P_T", "P_11", "P_S", "P_excited_total", "fidelity"]
-    rows = [
-        [float(pops[c][i]) for c in header] for i in range(len(traj.times))
-    ]
-    return header, rows
+    return header, np.column_stack([pops[c] for c in header]).tolist()

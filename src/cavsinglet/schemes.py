@@ -447,9 +447,17 @@ def drive_for_dynamic_error(
     kappa: float | None = None,
 ) -> tuple[float, float]:
     """Drive strength at which the dynamic (driving-induced) error reaches
-    ``DYNAMIC_ERROR``, by inversion for S1 and bisection on the numeric
-    steady-state error otherwise, and the weak-drive (Omega = gamma/10)
-    fidelity that the dynamic error is measured from."""
+    ``DYNAMIC_ERROR``, and the weak-drive (Omega = gamma/10) fidelity that
+    the dynamic error is measured from.
+
+    S1 inverts its closed form.  Otherwise a secant on x = log Omega steps
+    along the log-log slope through the two latest errors (2, the Omega^2
+    of perturbation theory, from one) inside the bracket [gamma/10, gamma],
+    whose top grows x1.5 up to six times.  It bisects when a step leaves the
+    bracket or starts from an error <= 0 (WS is no power law), and after two
+    steps that failed to halve the bracket.  It returns the first evaluated
+    drive whose error is within 1e-3 relative of the target.
+    """
     scheme = parse_scheme(scheme)
     gamma = DEFAULT_GAMMA_OVER_G * g if gamma is None else gamma
     kappa = DEFAULT_KAPPA_OVER_G * g if kappa is None else kappa
@@ -464,27 +472,42 @@ def drive_for_dynamic_error(
         # dynamic error (3/2C) sqrt(2) (Omega/gamma)^2 at the optimal microwave
         return gamma * math.sqrt(DYNAMIC_ERROR * 2.0 * C / (3.0 * _SQRT2)), weak
 
-    def dynamic_error(omega: float) -> float:
-        return 1.0 - fidelity(omega) - (1.0 - weak)
+    def dynamic_error(x: float) -> float:
+        return 1.0 - fidelity(math.exp(x)) - (1.0 - weak)
 
+    target = math.log(DYNAMIC_ERROR)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lo, hi = gamma / 10.0, gamma
-        f_hi = dynamic_error(hi)
-        tries = 0
-        while f_hi < DYNAMIC_ERROR and tries < 6:
-            hi *= 1.5
-            f_hi = dynamic_error(hi)
-            tries += 1
-        if f_hi < DYNAMIC_ERROR:
+        # the bracket top gamma and its growth exceed the preset's gamma/2
+        warnings.filterwarnings("ignore", message="Omega = .* exceeds gamma/2")
+        lo, hi = math.log(gamma / 10.0), math.log(gamma)
+        last = [(lo, 0.0), (hi, dynamic_error(hi))]
+        for _ in range(6):
+            if last[-1][1] >= DYNAMIC_ERROR:
+                break
+            lo, hi = hi, hi + math.log(1.5)
+            last.append((hi, dynamic_error(hi)))
+        if last[-1][1] < DYNAMIC_ERROR:
             raise ValueError(
                 f"could not bracket a {DYNAMIC_ERROR:.3g} dynamic error for {scheme} "
-                f"(reached Omega = {hi:.3g})"
+                f"(reached Omega = {math.exp(hi):.3g})"
             )
-        while hi - lo >= 1e-3 * hi:
-            mid = 0.5 * (lo + hi)
-            if dynamic_error(mid) < DYNAMIC_ERROR:
-                lo = mid
+        slow = 0  # secant steps in a row that failed to halve the bracket
+        while abs(last[-1][1] - DYNAMIC_ERROR) > 1e-3 * DYNAMIC_ERROR:
+            (x0, f0), (x1, f1) = last[-2:]
+            secant = f1 > 0.0 and slow < 2
+            if secant:
+                slope = math.log(f1 / f0) / (x1 - x0) if f0 > 0.0 else 2.0
+                step = x1 + (target - math.log(f1)) / slope if slope > 0.0 else lo
+                secant = lo < step < hi
+            if not secant:
+                step, slow = 0.5 * (lo + hi), 0
+                if step in (lo, hi):
+                    break  # the bracket is as narrow as floats allow
+            width = hi - lo
+            last.append((step, dynamic_error(step)))
+            if last[-1][1] < DYNAMIC_ERROR:
+                lo = step
             else:
-                hi = mid
-    return 0.5 * (lo + hi), weak
+                hi = step
+            slow = slow + 1 if secant and hi - lo > 0.5 * width else 0
+    return math.exp(last[-1][0]), weak

@@ -6,11 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cavsinglet
 from cavsinglet import schemes
-from cavsinglet.cli import main, microseconds, parse_rate
+from cavsinglet.cli import main, microseconds, parse_rate, write_csv
 
 
 def read_csv(path):
@@ -317,6 +318,23 @@ def test_trajectory_unknown_method_fails(tmp_path):
     assert code == 1
 
 
+def test_write_csv_matches_csv_writer(tmp_path):
+    rows = [
+        [0.0, "full", 0.25, -1e-300, float("nan"), float("-inf"), np.float64(2.5)],
+        [0.0, "bogus", float("nan"), "error: Omega = 2, b = 3 out of range"],
+        ["T0", 'say "hi"', "two\nlines", "cr\rhere", ""],
+        [1, None, True, np.float32(0.5), "x"],
+        [""], [], ["ok", "", 1e300],
+    ]
+    write_csv(tmp_path / "rows.csv", ["t", "method"], rows)
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "method"])
+        writer.writerows([f"{x:.11e}" if isinstance(x, float) else x for x in row]
+                         for row in rows)
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_table1_s1_row(tmp_path):
     out = tmp_path / "table.csv"
     code = main(["table1", "--schemes", "S1", "--out", str(out)])
@@ -339,7 +357,7 @@ def test_table1_solves_each_model_once(tmp_path, monkeypatch):
     monkeypatch.setattr(schemes, "numeric_fidelity",
                         lambda params: solved.append(params) or solve(params))
     assert main(["table1", "--schemes", "T0", "--out", str(tmp_path / "t.csv")]) == 0
-    assert len(solved) == len(set(solved)) == 14
+    assert len(solved) == len(set(solved)) == 6
 
 
 def test_reduce_dump(tmp_path):

@@ -5,20 +5,17 @@ import pytest
 
 from cavsinglet import liouville
 from cavsinglet.effective import effective_rates, ground_hamiltonian_block, partition
-from cavsinglet.errors import RecyclingDivergenceError
 from cavsinglet.model import build_master_equation
-from cavsinglet.ratemodel import (
-    build_dressed_basis,
-    build_rates,
+from cavsinglet.ratemodel import build_dressed_basis, build_rates, evolve, singlet_pump_rates
+from cavsinglet.schemes import SchemeId, cavity_rates_for_cooperativity, preset
+from rate_diagnostics import (
+    RecyclingDivergenceError,
     dressed_populations,
-    evolve,
     recycling_model,
-    singlet_pump_rates,
     slow_left_eigenvector,
     slowest_rate,
     steady_populations,
 )
-from cavsinglet.schemes import SchemeId, cavity_rates_for_cooperativity, preset
 
 C_REF = 256.0 / 15.0
 SQ2 = math.sqrt(2.0)

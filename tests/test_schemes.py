@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from cavsinglet import schemes
 from cavsinglet.errors import NoValidDriveError
 from cavsinglet.schemes import (
     SCHEMES,
@@ -356,9 +358,70 @@ class TestNumericBenchmarks:
         p = preset("S1", Omega=omega)
         out = combined_error_s1(p)
         assert out["total"] - out["static"] == pytest.approx(0.02, rel=1e-6)
-        # bisection path on a numeric scheme, measured from the weak-drive
+        # search path on a numeric scheme, measured from the weak-drive
         # fidelity it returns
         omega_t0, fid_weak = drive_for_dynamic_error("T0")
         assert fid_weak == scheme_numeric_fidelity("T0")
         err = 1.0 - scheme_numeric_fidelity("T0", Omega=omega_t0)
-        assert err - (1.0 - fid_weak) == pytest.approx(0.02, abs=2e-3)
+        assert err - (1.0 - fid_weak) == pytest.approx(0.02, rel=1e-3)
+
+
+def bisected_drive(scheme, gamma, kappa, weak):
+    """Reference for the drive search: linear bisection of the dynamic error
+    on [gamma/10, gamma 1.5^k], k the fewest that bracket 2%, down to a 1e-5
+    relative bracket."""
+    def error(omega):
+        return weak - scheme_numeric_fidelity(scheme, gamma=gamma, kappa=kappa,
+                                              Omega=omega)
+
+    lo, hi = gamma / 10.0, gamma
+    while error(hi) < 0.02:
+        hi *= 1.5
+    while hi - lo >= 1e-5 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if error(mid) < 0.02 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.filterwarnings("ignore:Omega = .* exceeds gamma/2")
+class TestDriveSearch:
+    @pytest.mark.parametrize("C", [10.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("scheme", ["S0", "T1", "T0", "T0S0_mix", "WS"])
+    def test_hits_the_target_and_matches_bisection(self, scheme, C, monkeypatch):
+        gamma, kappa = cavity_rates_for_cooperativity(C)
+        solve, solved = schemes.numeric_fidelity, []
+        monkeypatch.setattr(schemes, "numeric_fidelity",
+                            lambda params: solved.append(params) or solve(params))
+        omega, weak = drive_for_dynamic_error(scheme, gamma=gamma, kappa=kappa)
+        # counting the weak drive
+        assert len(solved) <= 8 * len(components(scheme))
+        monkeypatch.undo()
+        err = weak - scheme_numeric_fidelity(scheme, gamma=gamma, kappa=kappa,
+                                             Omega=omega)
+        assert err == pytest.approx(0.02, rel=1e-3)
+        assert omega == pytest.approx(bisected_drive(scheme, gamma, kappa, weak),
+                                      rel=1e-3)
+
+    def test_other_warnings_propagate(self, monkeypatch):
+        solved = []
+
+        def fidelity(params):
+            solved.append(params)
+            warnings.warn("probe warning")
+            return 1.0 - (params.Omega / params.gamma) ** 2
+
+        monkeypatch.setattr(schemes, "numeric_fidelity", fidelity)
+        with pytest.warns(UserWarning, match="probe warning") as caught:
+            omega, weak = drive_for_dynamic_error("T0")
+        # every solve's warning, the search's as well as the weak drive's,
+        # and none of the preset's about the bracket top
+        messages = [str(w.message) for w in caught]
+        assert messages.count("probe warning") == len(solved) > 2
+        assert not [m for m in messages if "exceeds gamma/2" in m]
+        # dynamic error (Omega/gamma)^2 - 1/100
+        assert omega / preset("T0").gamma == pytest.approx(math.sqrt(0.03), rel=1e-3)
+
+    def test_unbracketed_target_raises(self, monkeypatch):
+        monkeypatch.setattr(schemes, "numeric_fidelity", lambda params: 0.9)
+        with pytest.raises(ValueError, match="could not bracket"):
+            drive_for_dynamic_error("WS")
