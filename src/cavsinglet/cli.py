@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -242,15 +243,12 @@ def cmd_table1(args) -> int:
     for scheme in scheme_ids:
         try:
             static = schemes.static_error(scheme, C)
-            omega2, fid = schemes.drive_for_dynamic_error(scheme, g=g, gamma=gamma,
-                                                          kappa=kappa)
             # a static mixture converges at its slowest component's rate
-            me = build_master_equation(schemes.slowest(schemes.components(
-                scheme, g=g, gamma=gamma, kappa=kappa, Omega=omega2)).params)
-            lv = liouville.vectorize(me)
+            _, fid, lv = schemes.drive_for_dynamic_error(scheme, g=g, gamma=gamma,
+                                                         kappa=kappa)
             t_conv = liouville.time_to_convergence(
-                lv, liouville.mixed_ground_state(me.space), liouville.steady_state(lv))
-            # after time_to_convergence, so the gap reuses its eigensystem
+                lv, liouville.mixed_ground_state(lv.space), liouville.steady_state(lv))
+            # after time_to_convergence, so the gap reuses its eig values
             gap = liouville.spectral_gap(lv).gap
             t_us = microseconds(t_conv, args.g_mhz)
             confined = "yes" if schemes.needs_confinement(scheme) else "no"
@@ -368,7 +366,10 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-max", dest="n_max", type=int, default=None)
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``main`` runs the ``cmd_*`` of
+    the module named by the subcommand."""
     parser = argparse.ArgumentParser(
         prog="cavsinglet",
         description="Dissipative preparation of a two-atom entangled steady "
@@ -382,7 +383,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("steady", help="steady-state fidelity and gap")
     _add_param_flags(p)
     p.add_argument("--record", default=None, help="run-record JSON path")
-    p.set_defaults(func=cmd_steady)
 
     p = sub.add_parser("sweep", help="parameter sweeps to CSV")
     _add_param_flags(p)
@@ -394,13 +394,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", action="store_true", help="log-spaced grid")
     p.add_argument("--schemes", default="S1")
     p.add_argument("--out", default="sweep.csv")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("table1", help="benchmark table across schemes")
     p.add_argument("--g", type=float, default=1.0)
     p.add_argument("--schemes", default="S1,S0,T1,T0,T0S0_mix,WS")
     p.add_argument("--out", default="table1.csv")
-    p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("trajectory", help="multi-method population trajectories")
     _add_param_flags(p)
@@ -412,20 +410,18 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho0", default="mixed",
                    help="mixed or a named ground state (00, T, 11, S)")
     p.add_argument("--out", default="trajectory.csv")
-    p.set_defaults(func=cmd_trajectory)
 
     p = sub.add_parser("reduce", help="dump the effective ground-state model")
     _add_param_flags(p)
     p.add_argument("--dressed", action="store_true")
     p.add_argument("--out", default="effective_model.json")
-    p.set_defaults(func=cmd_reduce)
     return parser
 
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ValueError as exc:  # bad arguments, e.g. a mixture given to reduce
         print(f"cavsinglet {args.command}: error: {exc}", file=sys.stderr)
         return 2

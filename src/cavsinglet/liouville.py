@@ -62,48 +62,75 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Eigensystem:
-    """Right eigenpairs ``L V = V diag(values)`` of a diagonalizable generator."""
+class Eigenblock:
+    """Right eigenpairs ``M V = V diag(values)`` of one block, V's columns
+    in the output coordinates (``mapped``) and V's singular values."""
 
     values: np.ndarray
     vectors: np.ndarray
+    mapped: np.ndarray
+    singular: np.ndarray
 
     @classmethod
-    def of(cls, blocks) -> "Eigensystem":
-        """Eigenpairs of sum W M W^T from its blocks ``[(W, M), ...]`` (W
-        orthonormal, ``None`` for a lone block); ``NumericalInstabilityError``
-        if the block-diagonal V has cond(V) above ``MAX_EIGENVECTOR_COND``."""
-        pairs = [np.linalg.eig(m) for _, m in blocks]
-        sv = np.concatenate([np.linalg.svd(v, compute_uv=False) for _, v in pairs])
-        cond = sv.max() / sv.min()
-        if not cond <= MAX_EIGENVECTOR_COND:
-            raise NumericalInstabilityError(
-                f"generator is not safely diagonalizable: cond(V) = {cond:.3e} "
-                f"exceeds {MAX_EIGENVECTOR_COND:.0e}"
-            )
-        vectors = np.hstack([v if w is None else w @ v
-                             for (w, _), (_, v) in zip(blocks, pairs)])
-        return cls(np.concatenate([w for w, _ in pairs]).astype(complex, copy=False),
-                   vectors.astype(complex, copy=False))
+    def of(cls, m: np.ndarray, to_output=lambda v: v, stationary=None) -> "Eigenblock":
+        """``stationary = (trace, x)`` holds the trace functional and the
+        unique stationary state (trace @ M = 0, M x = 0, trace @ x = 1) of
+        a trace-preserving generator's block, x solved more accurately than
+        ``eig`` finds it.  The eigenvalue nearest 0 then becomes 0 with
+        eigenvector x, and the other eigenvectors lose the multiple of x
+        that carries their trace.  ``eig`` misses both by ~eps ||M|| / gap,
+        which put the evolution's limit 0.2 (trace distance) off the steady
+        state for WS at C = 1000, Omega = gamma/20, where the gap is 5e-12."""
+        values, vectors = np.linalg.eig(m)
+        values, vectors = values.astype(complex), vectors.astype(complex)
+        if stationary is not None:
+            trace, x = stationary
+            s = np.argmin(np.abs(values))
+            values[s] = 0.0
+            traces = trace @ vectors
+            traces[s] = 0.0
+            vectors -= np.outer(x, traces)
+            vectors[:, s] = x / np.linalg.norm(x)
+        return cls(values, vectors, to_output(vectors),
+                   np.linalg.svd(vectors, compute_uv=False))
 
-    def solution(self, v0: np.ndarray):
-        """Exact solution of dv/dt = L v with v(0) = v0.
 
-        Solves V c = v0 once and returns a function mapping an array of
-        times to the rows v(t) = V (c * exp(w t)), shape (len(times), n).
-        """
-        coeff = np.linalg.solve(self.vectors, np.asarray(v0, dtype=complex))
+def spectral_solution(blocks: list, y0: np.ndarray, eigenblock):
+    """Exact solution of dy/dt = R y, y(0) = y0, for R = sum W M W^T given
+    by its ``[(W, M), ...]`` (W orthonormal, ``None`` for a lone block).
 
-        def at(times) -> np.ndarray:
-            t = np.asarray(times, dtype=float)
-            out = np.empty((len(t), len(coeff)), dtype=complex)
-            for i in range(0, len(t), TIME_CHUNK):
-                x = np.exp(np.multiply.outer(t[i:i + TIME_CHUNK], self.values))
-                x *= coeff
-                np.matmul(x, self.vectors.T, out=out[i:i + TIME_CHUNK])
-            return out
+    Only a block whose share W^T y0 has a nonzero entry is decomposed, by
+    ``eigenblock(b)``, and solved, V_b c_b = W^T y0.  Raises
+    ``NumericalInstabilityError`` if cond(V) over those blocks exceeds
+    ``MAX_EIGENVECTOR_COND``.  Returns a function of an array of times
+    giving the rows sum_b mapped_b (c_b * exp(w_b t)).
+    """
+    used = []
+    for b, (w, _) in enumerate(blocks):
+        share = y0 if w is None else w.T @ y0
+        if share.any():
+            used.append((eigenblock(b), share))
+    sv = np.concatenate([e.singular for e, _ in used])
+    cond = sv.max() / sv.min()
+    if not cond <= MAX_EIGENVECTOR_COND:
+        raise NumericalInstabilityError(
+            f"generator is not safely diagonalizable: cond(V) = {cond:.3e} "
+            f"exceeds {MAX_EIGENVECTOR_COND:.0e}"
+        )
+    values = np.concatenate([e.values for e, _ in used])
+    coeff = np.concatenate([np.linalg.solve(e.vectors, share) for e, share in used])
+    vectors = np.hstack([e.mapped for e, _ in used])
 
-        return at
+    def at(times) -> np.ndarray:
+        t = np.asarray(times, dtype=float)
+        out = np.empty((len(t), len(vectors)), dtype=complex)
+        for i in range(0, len(t), TIME_CHUNK):
+            x = np.exp(np.multiply.outer(t[i:i + TIME_CHUNK], values))
+            x *= coeff
+            np.matmul(x, vectors.T, out=out[i:i + TIME_CHUNK])
+        return out
+
+    return at
 
 
 @functools.lru_cache(maxsize=None)
@@ -125,6 +152,15 @@ def from_real(x: np.ndarray, d: int) -> np.ndarray:
     out = np.empty(x.shape, dtype=complex)
     out[_hermitian_order(d)[0]] = np.concatenate([x[:d], re + im, re - im])
     return out
+
+
+def to_real(v: np.ndarray, d: int) -> np.ndarray:
+    """T v for a column-stacked vector v: the inverse of ``from_real``."""
+    n = (d * d - d) // 2
+    x = np.asarray(v, dtype=complex)[_hermitian_order(d)[0]]
+    up, lo = x[d:d + n], x[d + n:]
+    return np.concatenate([x[:d], math.sqrt(0.5) * (up + lo),
+                           -1j * math.sqrt(0.5) * (up - lo)])
 
 
 def _in_hermitian_order(mat: np.ndarray, d: int) -> np.ndarray:
@@ -232,8 +268,10 @@ class LiouvillianMatrix:
     default 144) when the atom swap, alone or times (-1)^excitations,
     commutes with L, else R itself.  All are computed on first use and
     kept: ``bordered_inverse()`` serves the steady state and the uniqueness
-    test, ``eigensystem()`` time evolution, and ``eigenvalues()`` gaps, from
-    the eigensystem when one was built first, else from the cheaper ``eigvals``.
+    test, and an ``Eigenblock`` per block that an evolution's start has a
+    share in serves ``solution()``: an exchange-symmetric start (the mixed
+    or any named one) decomposes the even block alone.  ``eigenvalues()``
+    runs the cheaper ``eigvals`` on the blocks not decomposed.
     """
 
     space: object
@@ -242,7 +280,7 @@ class LiouvillianMatrix:
     _blocks: list | None = field(default=None, init=False, repr=False)
     _bordered: tuple | None = field(default=None, init=False, repr=False)
     _eigenvalues: np.ndarray | None = field(default=None, init=False, repr=False)
-    _eigensystem: Eigensystem | None = field(default=None, init=False, repr=False)
+    _eigenblocks: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -300,6 +338,12 @@ class LiouvillianMatrix:
             object.__setattr__(self, "_blocks", blocks)
         return self._blocks
 
+    def _trace(self) -> np.ndarray:
+        """The trace functional on the first block (the odd one has none)."""
+        w = self.blocks()[0][0]
+        trace = (np.arange(len(self.mat)) < self.dim).astype(float)
+        return trace if w is None else trace @ w
+
     def bordered_inverse(self) -> list:
         """``(W, B^-1)`` per block of B, the real form with row 0 (rho_00,
         first in the first block) replaced by the trace functional, both
@@ -313,8 +357,7 @@ class LiouvillianMatrix:
         """
         if self._bordered is None:
             bases, bs = zip(*[(w, m.copy()) for w, m in self.blocks()])
-            trace = (np.arange(len(self.mat)) < self.dim).astype(float)
-            bs[0][0] = trace if bases[0] is None else trace @ bases[0]
+            bs[0][0] = self._trace()
             try:
                 invs = [_readonly(np.linalg.inv(b)) for b in bs]
                 rcond = 1.0 / (max(np.linalg.norm(b, 1) for b in bs)
@@ -330,29 +373,41 @@ class LiouvillianMatrix:
         return pairs
 
     def eigenvalues(self) -> np.ndarray:
-        """The eigensystem's values if it exists, else the blocks' ``eigvals``
-        in block order; kept."""
+        """Per block, in block order: the ``eig`` values of a decomposed
+        block, else its ``eigvals``; kept."""
         if self._eigenvalues is None:
-            if self._eigensystem is not None:
-                values = self._eigensystem.values
-            else:
-                try:
-                    values = np.concatenate(
-                        [np.linalg.eigvals(m) for _, m in self.blocks()]).astype(complex)
-                except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-                    raise NumericalInstabilityError(
-                        f"eigendecomposition failed: {exc}") from exc
+            try:
+                values = np.concatenate([
+                    self._eigenblocks[b].values if b in self._eigenblocks
+                    else np.linalg.eigvals(m) for b, (_, m) in enumerate(self.blocks())
+                ]).astype(complex, copy=False)
+            except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+                raise NumericalInstabilityError(
+                    f"eigendecomposition failed: {exc}") from exc
             object.__setattr__(self, "_eigenvalues", _readonly(values))
         return self._eigenvalues
 
-    def eigensystem(self) -> Eigensystem:
-        """Eigenpairs of the blocks, with the eigenvectors mapped back to
-        column-stacked vectors (cond(V) is unchanged: T and W are unitary)."""
-        if self._eigensystem is None:
-            es = Eigensystem.of(self.blocks())
-            vectors = from_real(es.vectors, self.dim)
-            object.__setattr__(self, "_eigensystem", Eigensystem(es.values, vectors))
-        return self._eigensystem
+    def _eigenblock(self, b: int) -> Eigenblock:
+        """Block b's eigenpairs, mapped back to column-stacked vectors
+        (cond(V) is unchanged: T and W are unitary).  The first block's
+        conserve the trace, with the state of ``bordered_inverse()``, unless
+        that is not unique (an undriven model)."""
+        if b not in self._eigenblocks:
+            w, m = self.blocks()[b]
+            try:
+                stationary = (self._trace(), self.bordered_inverse()[0][1][:, 0]) \
+                    if b == 0 else None
+            except DegenerateSteadyStateError:
+                stationary = None
+            self._eigenblocks[b] = Eigenblock.of(
+                m, lambda v: from_real(v if w is None else w @ v, self.dim), stationary)
+        return self._eigenblocks[b]
+
+    def solution(self, rho0: np.ndarray):
+        """``spectral_solution`` from the density matrix rho0 on the blocks,
+        rows in column-stacked form."""
+        return spectral_solution(self.blocks(), to_real(vec(rho0), self.dim),
+                                 self._eigenblock)
 
 
 def apply_generator(me: MasterEquation, rho: np.ndarray) -> np.ndarray:
@@ -552,8 +607,8 @@ def propagate(
     t_final: float,
     dt: float,
 ) -> Trajectory:
-    """Exact evolution of the master equation on the ``sample_grid``, from
-    the generator's eigensystem, so the states carry no step-size error; a
+    """Exact evolution of the master equation on the ``sample_grid`` by
+    ``evolve_spectral``, so the states carry no step-size error; a
     ``NumericalInstabilityError`` is raised if any sample's trace leaves 1
     by more than ``TRACE_TOL``.
     """
@@ -585,8 +640,8 @@ def fidelity(rho: DensityMatrix, psi: StateVector) -> float:
 
 def evolve_spectral(lv: LiouvillianMatrix, rho0: DensityMatrix, times) -> np.ndarray:
     """States exp(L t) rho0 at the given times, shape (len(times), dim, dim),
-    from the generator's cached eigensystem."""
-    return unvec(lv.eigensystem().solution(vec(rho0.mat))(times), lv.dim)
+    from ``lv.solution``."""
+    return unvec(lv.solution(rho0.mat)(times), lv.dim)
 
 
 def time_to_convergence(
@@ -594,36 +649,41 @@ def time_to_convergence(
     rho0: DensityMatrix,
     rho_ss: DensityMatrix,
 ) -> float:
-    """First time with trace distance to the steady state <= 0.01.
+    """First time with trace distance to the steady state <= 0.01, to 1e-3
+    relative, on a grid of 160 log-spaced times up to 30 / gap.
 
-    The eigensystem is built before the gap is read, so the gap comes from
-    its eigenvalues and the generator is decomposed once.
+    The distance never grows: exp(L s) is completely positive and trace
+    preserving and fixes rho_ss, and the trace distance contracts under
+    such maps.  So after the last grid time is checked (else no convergence
+    is raised), a bisection over the grid indices finds the first time a
+    scan would, and a bisection in time refines it inside that interval:
+    ~15 distances, not ~166.  The evolution is set up before the gap is
+    read, so the gap reuses its blocks' eigenvalues.
     """
-    solution = lv.eigensystem().solution(vec(rho0.mat))
+    solution = lv.solution(rho0.mat)
     gap = spectral_gap(lv).gap
 
-    def distances(times) -> np.ndarray:
-        w = np.linalg.eigvalsh(unvec(solution(times), lv.dim) - rho_ss.mat)
-        return 0.5 * np.abs(w).sum(axis=-1)
+    def converged(t: float) -> bool:
+        w = np.linalg.eigvalsh(unvec(solution([t])[0], lv.dim) - rho_ss.mat)
+        return 0.5 * np.abs(w).sum() <= CONVERGED_DISTANCE
 
     t_hi = 30.0 / gap
     grid = np.geomspace(t_hi * 1e-4, t_hi, 160)
-    for i, dist in enumerate(distances(grid)):
-        if dist <= CONVERGED_DISTANCE:
-            lo = 0.0 if i == 0 else grid[i - 1]
-            hi = grid[i]
-            for _ in range(40):
-                mid = 0.5 * (lo + hi)
-                if distances([mid])[0] <= CONVERGED_DISTANCE:
-                    hi = mid
-                else:
-                    lo = mid
-                if hi - lo <= 1e-3 * hi:
-                    break
-            return float(hi)
-    raise NumericalInstabilityError(
-        f"no convergence to trace distance {CONVERGED_DISTANCE} within t = {t_hi:.3e}"
-    )
+    if not converged(grid[-1]):
+        raise NumericalInstabilityError(
+            f"no convergence to trace distance {CONVERGED_DISTANCE} within t = {t_hi:.3e}"
+        )
+    below, i = -1, len(grid) - 1  # grid[i] has converged, grid[below] has not
+    while i - below > 1:
+        mid = (below + i) // 2
+        below, i = (below, mid) if converged(grid[mid]) else (mid, i)
+    lo, hi = (0.0 if i == 0 else grid[i - 1]), grid[i]
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if converged(mid) else (mid, hi)
+        if hi - lo <= 1e-3 * hi:
+            break
+    return float(hi)
 
 
 def trajectory_csv_rows(traj: Trajectory) -> tuple[list[str], list[list[float]]]:

@@ -11,6 +11,7 @@ rules, and the confinement flag.
 
 from __future__ import annotations
 
+import contextvars
 import enum
 import functools
 import math
@@ -388,9 +389,18 @@ def steady_fidelity(lv: liouville.LiouvillianMatrix) -> float:
                               named_state(lv.space, "S", photon=0))
 
 
+# Where ``numeric_fidelity`` keeps the generators it solves, by params,
+# while the drive search evaluates a drive; None elsewhere.
+_KEPT: contextvars.ContextVar[dict | None] = contextvars.ContextVar("kept", default=None)
+
+
 def numeric_fidelity(params: SystemParams) -> float:
     """Full-model steady-state fidelity with the singlet."""
-    return steady_fidelity(liouville.vectorize(build_master_equation(params)))
+    lv = liouville.vectorize(build_master_equation(params))
+    kept = _KEPT.get()
+    if kept is not None:
+        kept[params] = lv
+    return steady_fidelity(lv)
 
 
 def mixture_fidelity(comps: list[Component],
@@ -445,10 +455,12 @@ def drive_for_dynamic_error(
     g: float = 1.0,
     gamma: float | None = None,
     kappa: float | None = None,
-) -> tuple[float, float]:
+) -> tuple[float, float, liouville.LiouvillianMatrix]:
     """Drive strength at which the dynamic (driving-induced) error reaches
-    ``DYNAMIC_ERROR``, and the weak-drive (Omega = gamma/10) fidelity that
-    the dynamic error is measured from.
+    ``DYNAMIC_ERROR``, the weak-drive (Omega = gamma/10) fidelity that the
+    dynamic error is measured from, and the generator of the slowest
+    component at that drive (which sets a mixture's convergence), the one
+    the search solved there unless ``numeric_fidelity`` is replaced.
 
     S1 inverts its closed form.  Otherwise a secant on x = log Omega steps
     along the log-log slope through the two latest errors (2, the Omega^2
@@ -463,14 +475,27 @@ def drive_for_dynamic_error(
     kappa = DEFAULT_KAPPA_OVER_G * g if kappa is None else kappa
     C = g * g / (gamma * kappa)
 
+    kept: dict = {}  # the generators of the latest evaluation
+
     def fidelity(omega: float) -> float:
-        return scheme_numeric_fidelity(scheme, g=g, gamma=gamma, kappa=kappa,
-                                       Omega=omega)
+        kept.clear()
+        token = _KEPT.set(kept)
+        try:
+            return scheme_numeric_fidelity(scheme, g=g, gamma=gamma, kappa=kappa,
+                                           Omega=omega)
+        finally:
+            _KEPT.reset(token)
+
+    def found(omega: float) -> tuple:
+        params = slowest(components(scheme, g=g, gamma=gamma, kappa=kappa,
+                                    Omega=omega)).params
+        return omega, weak, kept.get(params) or liouville.vectorize(
+            build_master_equation(params))
 
     weak = fidelity(gamma / 10.0)
     if scheme is SchemeId.S1:
         # dynamic error (3/2C) sqrt(2) (Omega/gamma)^2 at the optimal microwave
-        return gamma * math.sqrt(DYNAMIC_ERROR * 2.0 * C / (3.0 * _SQRT2)), weak
+        return found(gamma * math.sqrt(DYNAMIC_ERROR * 2.0 * C / (3.0 * _SQRT2)))
 
     def dynamic_error(x: float) -> float:
         return 1.0 - fidelity(math.exp(x)) - (1.0 - weak)
@@ -510,4 +535,4 @@ def drive_for_dynamic_error(
             else:
                 hi = step
             slow = slow + 1 if secant and hi - lo > 0.5 * width else 0
-    return math.exp(last[-1][0]), weak
+        return found(math.exp(last[-1][0]))  # its model is the last one solved

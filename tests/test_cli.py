@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cavsinglet
-from cavsinglet import schemes
+from cavsinglet import cli, liouville, schemes
 from cavsinglet.cli import main, microseconds, parse_rate, write_csv
 
 
@@ -352,12 +352,29 @@ def test_table1_s1_row(tmp_path):
 
 
 def test_table1_solves_each_model_once(tmp_path, monkeypatch):
-    # the drive search returns the weak-drive fidelity it measures from
-    solve, solved = schemes.numeric_fidelity, []
-    monkeypatch.setattr(schemes, "numeric_fidelity",
-                        lambda params: solved.append(params) or solve(params))
-    assert main(["table1", "--schemes", "T0", "--out", str(tmp_path / "t.csv")]) == 0
-    assert len(solved) == len(set(solved)) == 6
+    # the drive search returns the weak-drive fidelity it measures from and
+    # the generator it built and solved at the drive it found
+    solve, build = schemes.numeric_fidelity, liouville.vectorize
+    for scheme, solves in (("T0", 6), ("T0S0_mix", None)):
+        solved, built = [], []
+        monkeypatch.setattr(schemes, "numeric_fidelity",
+                            lambda params: solved.append(params) or solve(params))
+        monkeypatch.setattr(liouville, "vectorize",
+                            lambda me: built.append(me) or build(me))
+        out = str(tmp_path / "t.csv")
+        assert main(["table1", "--schemes", scheme, "--out", out]) == 0
+        monkeypatch.undo()
+        assert len(solved) == len(set(solved)) == len(built)
+        assert solves is None or len(solved) == solves
+
+
+def test_parser_built_once_dispatches_to_module_commands(monkeypatch):
+    parser, seen = cli.make_parser(), []  # built before the command is replaced
+    monkeypatch.setattr(cli, "cmd_reduce", lambda args: seen.append(args.scheme) or 0)
+    for argv in (["reduce", "--scheme", "T0"], ["reduce"]):
+        assert main(argv) == 0
+    assert seen == ["T0", "S1"]  # no value left over from the previous call
+    assert cli.make_parser() is parser
 
 
 def test_reduce_dump(tmp_path):

@@ -19,6 +19,7 @@ from cavsinglet.hilbert import (
     named_state,
 )
 from cavsinglet.liouville import (
+    TRACE_TOL,
     DensityMatrix,
     LiouvillianMatrix,
     _exchange_sectors,
@@ -26,23 +27,38 @@ from cavsinglet.liouville import (
     evolve_spectral,
     fidelity,
     from_real,
+    ground_state_vectors,
     mixed_ground_state,
     propagate,
     spectral_gap,
     steady_state,
     time_to_convergence,
+    to_real,
     trajectory_csv_rows,
     unvec,
     vec,
     vectorize,
 )
 from cavsinglet.model import MasterEquation, SystemParams, build_master_equation
-from cavsinglet.schemes import SchemeId, cavity_rates_for_cooperativity, preset
+from cavsinglet.schemes import (
+    SchemeId,
+    cavity_rates_for_cooperativity,
+    components,
+    preset,
+)
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Independent oracle for the distances that time_to_convergence uses."""
     return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
+
+
+@pytest.fixture
+def eig_inputs(monkeypatch):
+    """The matrices passed to ``np.linalg.eig``, in call order."""
+    seen, eig = [], np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda m: seen.append(m) or eig(m))
+    return seen
 
 
 def rk4_states(mat, rho0, t_final, dt):
@@ -187,6 +203,10 @@ class TestRealForm:
         assert np.abs(coords.imag).max() < 1e-12
         back = from_real(coords.real, 12)
         assert np.abs(back - vec(rho)).max() < 1e-12
+        # to_real is T itself, on any vector, Hermitian or not
+        v = rng.normal(size=144 * 2).view(complex)
+        assert np.abs(to_real(v, 12) - t @ v).max() < 1e-12
+        assert np.abs(from_real(to_real(v, 12), 12) - v).max() < 1e-12
         # a random Lindblad generator preserves Hermiticity as well
         assert np.abs((t @ lv.mat @ t.conj().T).imag).max() < 1e-12
 
@@ -342,11 +362,22 @@ class TestSpectrum:
         assert abs(-slope - gap) / gap < 0.2
 
     def test_gap_reuses_an_existing_eigensystem(self, monkeypatch):
-        lv = vectorize(build_master_equation(preset(SchemeId.S1)))
-        values = lv.eigensystem().values
-        monkeypatch.setattr(np.linalg, "eigvals", None)  # must not be called
-        assert np.array_equal(lv.eigenvalues(), values)
-        assert spectral_gap(lv).gap == sorted(abs(values.real))[1]
+        # the block an evolution decomposed gives its eig values; eigvals
+        # runs on the other one alone
+        for scheme in (SchemeId.S1, SchemeId.T0):
+            lv = vectorize(build_master_equation(preset(scheme)))
+            even, odd = (m for _, m in lv.blocks())
+            evolve_spectral(lv, mixed_ground_state(lv.space), [1.0])
+            seen, eigvals = [], np.linalg.eigvals
+            monkeypatch.setattr(np.linalg, "eigvals",
+                                lambda m: seen.append(m) or eigvals(m))
+            values = lv.eigenvalues()
+            monkeypatch.undo()
+            assert len(seen) == 1 and seen[0] is odd
+            ref = np.linalg.eig(even)[0]
+            ref[np.argmin(abs(ref))] = 0.0  # the stationary one, made exact
+            assert np.array_equal(values[:len(even)], ref)
+            assert spectral_gap(lv).gap == sorted(abs(values.real))[1]
 
 
 @pytest.fixture(scope="module")
@@ -390,7 +421,7 @@ class TestPropagate:
         assert np.abs(traj.states - ref).max() < 1e-8
 
     @pytest.mark.parametrize("scheme", [SchemeId.T0, SchemeId.S1])
-    def test_asymmetric_start_matches_reference_rk4(self, scheme):
+    def test_asymmetric_start_matches_reference_rk4(self, scheme, eig_inputs):
         # |0,1,0><0,1,0| is not swap-invariant, so both sectors evolve
         me = build_master_equation(preset(scheme))
         lv = vectorize(me)
@@ -401,8 +432,19 @@ class TestPropagate:
         # RK4's own error at dt = 0.05 is 4e-8 on T0, so the reference takes
         # 2000 steps, every second one sampled
         traj = propagate(me, rho0, 50.0, 0.025)
+        assert [len(m) for m in eig_inputs] == [len(m) for _, m in lv.blocks()]
         ref = rk4_states(lv.mat, rho0, 50.0, 0.025)[::2]
         assert traj.states.shape == ref.shape
+        assert np.abs(traj.states - ref).max() < 1e-8
+
+    def test_undriven_model_evolves(self):
+        # 16 stationary states, so no single one for the evolution to keep
+        me = build_master_equation(preset(SchemeId.S1).replace(Omega=0.0))
+        rho0 = mixed_ground_state(me.space)
+        with pytest.raises(DegenerateSteadyStateError):
+            steady_state(vectorize(me))
+        traj = propagate(me, rho0, 5.0, 0.025)
+        ref = rk4_states(vectorize(me).mat, rho0, 5.0, 0.025)
         assert np.abs(traj.states - ref).max() < 1e-8
 
     def test_large_dt_only_coarsens_the_grid(self, s1_master):
@@ -520,26 +562,108 @@ class TestSpectralEvolution:
         assert d_after <= 0.0101
         assert d_before >= 0.0099
 
-    @pytest.mark.parametrize("scheme", [SchemeId.S1, SchemeId.T0, SchemeId.WS])
-    def test_time_to_convergence_matches_per_sample_loop(self, scheme):
-        # the stacked eigvalsh must give the same crossing, bit for bit, as
-        # one trace distance per sample (the table1 CSV depends on it)
-        me = build_master_equation(preset(scheme, Omega=0.1))
-        lv, ref_lv = vectorize(me), vectorize(me)
-        rho0, rho_ss = mixed_ground_state(me.space), steady_state(lv)
-        solution = ref_lv.eigensystem().solution(vec(rho0.mat))
+    @pytest.mark.parametrize("scheme", [SchemeId.S1, SchemeId.S0, SchemeId.T1,
+                                        SchemeId.T0, SchemeId.WS])
+    def test_time_to_convergence_matches_per_sample_loop(self, scheme, monkeypatch):
+        # the bisection over the grid must give the same crossing, bit for
+        # bit, as a scan of one trace distance per grid sample (the table1
+        # CSV depends on it), from at most 20 samples
+        for C in (None, 10.0, 1000.0):  # None: Omega = 0.1 g, the reference cavity
+            if C is None:
+                params = preset(scheme, Omega=0.1)
+            else:
+                gamma, kappa = cavity_rates_for_cooperativity(C)
+                params = preset(scheme, gamma=gamma, kappa=kappa)
+            me = build_master_equation(params)
+            lv, ref_lv = vectorize(me), vectorize(me)
+            rho0, rho_ss = mixed_ground_state(me.space), steady_state(lv)
 
-        def distances(times):
-            return [trace_distance(s, rho_ss.mat)
-                    for s in unvec(solution(times), ref_lv.dim)]
+            def distances(times):
+                return [trace_distance(s, rho_ss.mat)
+                        for s in evolve_spectral(ref_lv, rho0, times)]
 
-        t_hi = 30.0 / spectral_gap(ref_lv).gap
-        grid = np.geomspace(t_hi * 1e-4, t_hi, 160)
-        i = next(i for i, d in enumerate(distances(grid)) if d <= 0.01)
-        lo, hi = (0.0 if i == 0 else grid[i - 1]), grid[i]
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (lo, mid) if distances([mid])[0] <= 0.01 else (mid, hi)
-            if hi - lo <= 1e-3 * hi:
-                break
-        assert time_to_convergence(lv, rho0, rho_ss) == hi
+            distances([0.0])  # as in time_to_convergence, the gap reuses eig values
+            t_hi = 30.0 / spectral_gap(ref_lv).gap
+            grid = np.geomspace(t_hi * 1e-4, t_hi, 160)
+            i = next(i for i, d in enumerate(distances(grid)) if d <= 0.01)
+            lo, hi = (0.0 if i == 0 else grid[i - 1]), grid[i]
+            for _ in range(40):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if distances([mid])[0] <= 0.01 else (mid, hi)
+                if hi - lo <= 1e-3 * hi:
+                    break
+            samples, eigvalsh = [], np.linalg.eigvalsh
+            monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: samples.append(
+                np.prod(np.shape(a)[:-2], dtype=int)) or eigvalsh(a))
+            assert time_to_convergence(lv, rho0, rho_ss) == hi, C
+            monkeypatch.undo()
+            assert sum(samples) <= 20
+
+
+def two_block_evolution(lv, rho0, times) -> np.ndarray:
+    """exp(L t) rho0 through the dense T of the real coordinates and an
+    ``eig`` of every block W^T R W: the reference for evolutions that
+    decompose only the blocks the start has a share in."""
+    t_map = dense_hermitian_basis_map(lv.dim)
+    y0 = t_map @ vec(rho0.mat)
+    y = 0.0
+    for w, m in lv.blocks():
+        values, v = np.linalg.eig(m)
+        c = np.linalg.solve(v, w.T @ y0)
+        y = y + (np.exp(np.multiply.outer(times, values)) * c) @ (w @ v).T
+    return unvec(y @ t_map.conj(), lv.dim)
+
+
+class TestEvenSectorEvolution:
+    @pytest.mark.parametrize("start", ["mixed", "00", "T", "11", "S"])
+    @pytest.mark.parametrize("scheme", ["S1", "S0", "T1", "T0"])
+    def test_symmetric_start_decomposes_the_even_block_alone(
+            self, scheme, start, eig_inputs):
+        lv = vectorize(build_master_equation(preset(scheme)))
+        (_, even), (_, odd) = lv.blocks()
+        if start == "mixed":
+            rho0 = mixed_ground_state(lv.space)
+        else:
+            v = ground_state_vectors(lv.space)[start]
+            rho0 = DensityMatrix(lv.space, np.outer(v, v.conj()))
+        times = np.array([0.0, 1.0, 30.0, 300.0, 3000.0])
+        states = evolve_spectral(lv, rho0, times)
+        assert len(eig_inputs) == 1 and eig_inputs[0] is even
+        assert not any(m is odd for m in eig_inputs)
+        ref = two_block_evolution(lv, rho0, times)
+        assert np.abs(states - ref).max() <= 1e-12
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(
+        scheme=st.sampled_from(["S1", "S0", "T1", "T0", "T0S0_mix", "WS"]),
+        log10_c=st.floats(1.0, 3.0),
+        omega_over_gamma=st.floats(0.05, 0.5),
+        start=st.sampled_from(["mixed", "00", "T", "11", "S"]),
+    )
+    @example(scheme="WS", log10_c=3.0, omega_over_gamma=0.05, start="mixed")
+    def test_contraction_trace_and_positivity_over_cli_domain(
+            self, scheme, log10_c, omega_over_gamma, start):
+        # exp(L t) is CPTP and fixes rho_ss: the trace distance to rho_ss
+        # never grows, the trace stays 1 and no eigenvalue goes negative
+        gamma, kappa = cavity_rates_for_cooperativity(10.0 ** log10_c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # regime warnings from preset
+            comps = components(scheme, g=1.0, gamma=gamma, kappa=kappa,
+                               Omega=omega_over_gamma * gamma)
+        for comp in comps:  # a mixture's components, each on its own
+            lv = vectorize(build_master_equation(comp.params))
+            if start == "mixed":
+                rho0 = mixed_ground_state(lv.space)
+            else:
+                v = ground_state_vectors(lv.space)[start]
+                rho0 = DensityMatrix(lv.space, np.outer(v, v.conj()))
+            rho_ss = steady_state(lv)
+            t_hi = 30.0 / spectral_gap(lv).gap
+            times = np.concatenate([[0.0], np.geomspace(t_hi * 1e-6, t_hi, 60)])
+            states = evolve_spectral(lv, rho0, times)
+            dist = [trace_distance(s, rho_ss.mat) for s in states]
+            assert np.diff(dist).max() <= 1e-12
+            assert dist[-1] <= 1e-9  # exp(-30) of the start's distance
+            assert np.abs(np.einsum("nii->n", states) - 1.0).max() <= TRACE_TOL
+            herm = 0.5 * (states + states.conj().swapaxes(1, 2))
+            assert np.linalg.eigvalsh(herm).min() >= -1e-9

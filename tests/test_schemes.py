@@ -6,6 +6,8 @@ import pytest
 
 from cavsinglet import schemes
 from cavsinglet.errors import NoValidDriveError
+from cavsinglet.liouville import vectorize
+from cavsinglet.model import build_master_equation
 from cavsinglet.schemes import (
     SCHEMES,
     SchemeId,
@@ -25,6 +27,7 @@ from cavsinglet.schemes import (
     preset,
     scheme_numeric_fidelity,
     static_error,
+    steady_fidelity,
     ws_analytics,
     ws_optimal_b,
 )
@@ -353,15 +356,18 @@ class TestNumericBenchmarks:
             assert fid_s1 > scheme_numeric_fidelity(other), other
 
     def test_drive_for_two_percent_dynamic_error(self):
-        omega, fid_weak = drive_for_dynamic_error("S1")
+        omega, fid_weak, lv = drive_for_dynamic_error("S1")
         assert fid_weak == scheme_numeric_fidelity("S1")
         p = preset("S1", Omega=omega)
+        assert np.array_equal(lv.mat, vectorize(build_master_equation(p)).mat)
         out = combined_error_s1(p)
         assert out["total"] - out["static"] == pytest.approx(0.02, rel=1e-6)
         # search path on a numeric scheme, measured from the weak-drive
         # fidelity it returns
-        omega_t0, fid_weak = drive_for_dynamic_error("T0")
+        omega_t0, fid_weak, lv = drive_for_dynamic_error("T0")
         assert fid_weak == scheme_numeric_fidelity("T0")
+        # the generator returned is the model at the drive found
+        assert steady_fidelity(lv) == scheme_numeric_fidelity("T0", Omega=omega_t0)
         err = 1.0 - scheme_numeric_fidelity("T0", Omega=omega_t0)
         assert err - (1.0 - fid_weak) == pytest.approx(0.02, rel=1e-3)
 
@@ -392,7 +398,7 @@ class TestDriveSearch:
         solve, solved = schemes.numeric_fidelity, []
         monkeypatch.setattr(schemes, "numeric_fidelity",
                             lambda params: solved.append(params) or solve(params))
-        omega, weak = drive_for_dynamic_error(scheme, gamma=gamma, kappa=kappa)
+        omega, weak, _ = drive_for_dynamic_error(scheme, gamma=gamma, kappa=kappa)
         # counting the weak drive
         assert len(solved) <= 8 * len(components(scheme))
         monkeypatch.undo()
@@ -412,7 +418,7 @@ class TestDriveSearch:
 
         monkeypatch.setattr(schemes, "numeric_fidelity", fidelity)
         with pytest.warns(UserWarning, match="probe warning") as caught:
-            omega, weak = drive_for_dynamic_error("T0")
+            omega, weak, _ = drive_for_dynamic_error("T0")
         # every solve's warning, the search's as well as the weak drive's,
         # and none of the preset's about the bracket top
         messages = [str(w.message) for w in caught]
