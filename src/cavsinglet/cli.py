@@ -3,8 +3,8 @@ trajectory reproduction, effective-model dumps.
 
 Subcommands: steady, sweep, table1, trajectory, reduce.  Rates are given in
 units of g unless suffixed with a rate name (``0.1gamma``, ``0.2kappa``).
-Sweeps run on a thread pool capped by the LE_THREADS environment variable;
-outputs are CSV (12 significant digits) and JSON run records.
+Sweeps solve their points in order, on one thread; outputs are CSV (12
+significant digits) and JSON run records.
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ import functools
 import hashlib
 import json
 import math
-import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -119,11 +117,6 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
                 writer.writerow([f"{x:.11e}" if isinstance(x, float) else x for x in row])
 
 
-def _workers() -> int:
-    env = os.environ.get("LE_THREADS")
-    return max(1, int(env)) if env else min(4, os.cpu_count() or 1)
-
-
 def microseconds(t_over_g: float, g_mhz: float) -> float:
     """Convert a time in 1/g units to microseconds using g/2pi in MHz."""
     return t_over_g / (2.0 * math.pi * g_mhz)
@@ -208,19 +201,11 @@ def cmd_sweep(args) -> int:
     values = np.geomspace(args.start, args.stop, args.points) if args.log \
         else np.linspace(args.start, args.stop, args.points)
     scheme_ids = [parse_scheme(s) for s in args.schemes.split(",")]
-    tasks = [(i, v, s) for i, v in enumerate(values) for s in scheme_ids]
-    results: dict[tuple[int, str], list[list]] = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        with ThreadPoolExecutor(max_workers=_workers()) as pool:
-            futures = {
-                pool.submit(_sweep_point, axis, float(v), s, args): (i, str(s))
-                for i, v, s in tasks
-            }
-            for fut, key in futures.items():
-                results[key] = fut.result()
+        rows = [row for v in values for s in scheme_ids
+                for row in _sweep_point(axis, float(v), s, args)]
     header = ["axis", "value", "scheme", "method", "fidelity", "error", "gap", "status"]
-    rows = [row for i, _, s in tasks for row in results[(i, str(s))]]
     failed = any(str(row[-1]).startswith("error") for row in rows)
     out = Path(args.out)
     write_csv(out, header, rows)

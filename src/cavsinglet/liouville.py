@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,13 +134,16 @@ def spectral_solution(blocks: list, y0: np.ndarray, eigenblock):
 
 
 @functools.lru_cache(maxsize=None)
-def _hermitian_order(d: int) -> tuple[np.ndarray, np.ndarray]:
+def _hermitian_order(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """vec indices of rho_ii, then of rho_ij and of rho_ji for i < j (the
-    entries of vec(rho) that each real coordinate reads), and the flat
-    indices of a d^2 x d^2 matrix taken in that order on both axes."""
+    entries of vec(rho) that each real coordinate reads); the flat indices
+    of a d^2 x d^2 matrix taken in that order on both axes; and those of its
+    rows rho_ii and rho_ij alone in ``_generator_rows``'s layout."""
     i, j = np.triu_indices(d, 1)
     order = np.concatenate([np.arange(d) * (d + 1), i + j * d, j + i * d])
-    return _readonly(order), _readonly(order[:, None] * (d * d) + order)
+    rows = order[:d + len(i)]  # entry (r, c) at (r // d, c // d, r % d, c % d)
+    return _readonly(order), _readonly(order[:, None] * (d * d) + order), _readonly(
+        (rows // d * d ** 3 + rows % d * d)[:, None] + order // d * d * d + order % d)
 
 
 def from_real(x: np.ndarray, d: int) -> np.ndarray:
@@ -182,7 +185,8 @@ def _hermiticity_defect(m: np.ndarray, d: int) -> float:
 def _real_form(m: np.ndarray, d: int) -> np.ndarray:
     """R = T L T^H, with T the unitary map from vec(rho) to the real
     coordinates (rho_ii, sqrt2 Re rho_ij, sqrt2 Im rho_ij for i < j), for L
-    given as ``_in_hermitian_order`` returns it.
+    given as ``_in_hermitian_order`` returns it or as its rows rho_ii and
+    rho_ij alone (the first d + n), the only ones read.
 
     R is real and has the spectrum of L exactly when L preserves
     Hermiticity, conj(L) = P L P.  It is read off the diag and upper rows
@@ -256,51 +260,49 @@ def _sector_coordinates(perm, sign, parity: float) -> tuple:
     return lead, perm[lead], parity * sign[lead]
 
 
-@dataclass(frozen=True)
 class LiouvillianMatrix:
-    """dim^2 x dim^2 generator acting on column-stacked density matrices.
-
-    ``mat`` is the complex column-stacked matrix.  Every factorization runs
-    on the ``blocks()`` of its real form ``real_form()`` = T L T^H in the
-    orthonormal Hermitian operator basis, a unitary similarity, so spectra
-    and eigenvector conditioning are those of L at real-arithmetic cost.
-    The blocks are the two exchange sectors (80 + 64 or 72 + 72 for the
-    default 144) when the atom swap, alone or times (-1)^excitations,
-    commutes with L, else R itself.  All are computed on first use and
-    kept: ``bordered_inverse()`` serves the steady state and the uniqueness
-    test, and an ``Eigenblock`` per block that an evolution's start has a
-    share in serves ``solution()``: an exchange-symmetric start (the mixed
-    or any named one) decomposes the even block alone.  ``eigenvalues()``
-    runs the cheaper ``eigvals`` on the blocks not decomposed.
+    """dim^2 x dim^2 generator L on column-stacked density matrices, held as
+    its real form R = ``real_form()`` = T L T^H (``real=``; a hand-built L
+    may give the complex ``mat`` instead, else it is derived when read, and
+    no solve reads it).  Factorizations run on the ``blocks()`` of R: the
+    two exchange sectors (80 + 64 or 72 + 72 for the default 144) when the
+    atom swap, alone or times (-1)^excitations, commutes with L, else R
+    itself.  All are kept: ``bordered_inverse()`` serves the steady state
+    and the uniqueness test, and an ``Eigenblock`` per block that an
+    evolution's start has a share in serves ``solution()`` (a symmetric
+    start decomposes the even block alone); ``eigenvalues()`` runs
+    ``eigvals`` on the blocks not decomposed.
     """
 
-    space: object
-    mat: np.ndarray
-    _real: np.ndarray | None = field(default=None, init=False, repr=False)
-    _blocks: list | None = field(default=None, init=False, repr=False)
-    _bordered: tuple | None = field(default=None, init=False, repr=False)
-    _eigenvalues: np.ndarray | None = field(default=None, init=False, repr=False)
-    _eigenblocks: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, space, mat: np.ndarray | None = None, *,
+                 real: np.ndarray | None = None):
+        self.space, self.dim, self._mat, self._real = space, space.dim, mat, real
+        self._blocks, self._bordered, self._eigenvalues, self._eigenblocks = (
+            None, None, None, {})
 
     @property
-    def dim(self) -> int:
-        return self.space.dim
+    def mat(self) -> np.ndarray:
+        """The complex column-stacked L; from R, L = (T^H (T^H R)^H)^H."""
+        if self._mat is None:
+            half = from_real(self._real, self.dim).conj().T
+            self._mat = _readonly(from_real(half, self.dim).conj().T)
+        return self._mat
 
     def real_form(self) -> np.ndarray:
         """The real form (read-only); see ``_real_form``.
 
-        Raises ``NotHermiticityPreservingError`` if ``mat`` misses
-        conj(L) = P L P by more than ``HERMITICITY_TOL``, since the real
-        form would drop that part.
+        Raises ``NotHermiticityPreservingError`` if a hand-built ``mat``
+        misses conj(L) = P L P by more than ``HERMITICITY_TOL``, since the
+        real form would drop that part.
         """
         if self._real is None:
-            m = _in_hermitian_order(self.mat, self.dim)
+            m = _in_hermitian_order(self._mat, self.dim)
             dropped = _hermiticity_defect(m, self.dim)
             if not dropped <= HERMITICITY_TOL * np.abs(m.view(float)).max():
                 raise NotHermiticityPreservingError(
                     f"conj(L) differs from P L P by {dropped:.3e}: "
                     f"not a Lindblad generator")
-            object.__setattr__(self, "_real", _real_form(m, self.dim))
+            self._real = _real_form(m, self.dim)
         return self._real
 
     def blocks(self) -> list:
@@ -316,11 +318,12 @@ class LiouvillianMatrix:
             r = self.real_form()
             blocks, sectors = [(None, r)], _exchange_sectors(self.space)
             if sectors:  # both candidates permute alike; only their signs differ
-                gathered = r.take(sectors[0][0])
                 perm = sectors[0][0][0] % len(r)  # take[0] = perm[0] n + perm
                 tol = 2 * HERMITICITY_TOL * max(r.max(), -r.min())
+                sym = np.empty_like(r)  # both are tested in this buffer
             for take, sign, bases in sectors:
-                sym = sign[:, None] * gathered
+                r.take(take, out=sym, mode="clip")  # "raise" would buffer out
+                sym *= sign[:, None]
                 sym *= sign  # Q R Q^T
                 sym -= r
                 if max(sym.max(), -sym.min()) <= tol:
@@ -335,13 +338,13 @@ class LiouvillianMatrix:
                         m *= c
                         blocks.append((w, _readonly(m)))
                     break
-            object.__setattr__(self, "_blocks", blocks)
+            self._blocks = blocks
         return self._blocks
 
     def _trace(self) -> np.ndarray:
         """The trace functional on the first block (the odd one has none)."""
         w = self.blocks()[0][0]
-        trace = (np.arange(len(self.mat)) < self.dim).astype(float)
+        trace = (np.arange(self.dim ** 2) < self.dim).astype(float)
         return trace if w is None else trace @ w
 
     def bordered_inverse(self) -> list:
@@ -356,8 +359,11 @@ class LiouvillianMatrix:
         singular, ``DegenerateSteadyStateError`` reports the nullity of L.
         """
         if self._bordered is None:
-            bases, bs = zip(*[(w, m.copy()) for w, m in self.blocks()])
-            bs[0][0] = self._trace()
+            bases, bs = zip(*self.blocks())
+            # row 0 swapped in and back: copying an unsplit R made solves fault
+            first, row = bs[0], bs[0][0].copy()
+            first.flags.writeable = True
+            first[0] = self._trace()
             try:
                 invs = [_readonly(np.linalg.inv(b)) for b in bs]
                 rcond = 1.0 / (max(np.linalg.norm(b, 1) for b in bs)
@@ -365,11 +371,14 @@ class LiouvillianMatrix:
                 pairs = list(zip(bases, invs))
             except np.linalg.LinAlgError:
                 pairs, rcond = None, 0.0
-            object.__setattr__(self, "_bordered", (pairs, float(rcond)))
+            finally:
+                first[0] = row
+                first.flags.writeable = False
+            self._bordered = pairs, float(rcond)
         pairs, rcond = self._bordered
         if not rcond >= np.finfo(float).eps:
             raise DegenerateSteadyStateError(
-                self.mat.shape[0] - int(np.linalg.matrix_rank(self.real_form())))
+                self.dim ** 2 - int(np.linalg.matrix_rank(self.real_form())))
         return pairs
 
     def eigenvalues(self) -> np.ndarray:
@@ -384,7 +393,7 @@ class LiouvillianMatrix:
             except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
                 raise NumericalInstabilityError(
                     f"eigendecomposition failed: {exc}") from exc
-            object.__setattr__(self, "_eigenvalues", _readonly(values))
+            self._eigenvalues = _readonly(values)
         return self._eigenvalues
 
     def _eigenblock(self, b: int) -> Eigenblock:
@@ -424,35 +433,43 @@ def apply_generator(me: MasterEquation, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def vectorize(me: MasterEquation) -> LiouvillianMatrix:
-    """Column-stacking superoperator of the master equation,
-
-        L = sum_k conj(L_k) (x) L_k - i I (x) H_eff + i conj(H_eff) (x) I,
-
-    with H_eff = H - (i/2) sum_k L_k^dag L_k, assembled in one pass.
-
-    Seen as a (d, d, d, d) array ``[i, j, k, l]`` (row ``i d + j``, column
-    ``k d + l``), the jump sum is one (K x d^2)^H (K x d^2) product laid out
-    as ``[i, k, j, l]``.  There the two H_eff terms are strided row and
-    column slices (``i == k`` and ``j == l``), added before one transposing
-    copy, so no Kronecker product is formed.
-    """
-    h = me.H.mat
-    d = h.shape[0]
+def _generator_rows(me: MasterEquation) -> np.ndarray:
+    """Rows rho_ii and rho_ij (i < j) of ``vectorize``'s L, all that
+    ``_real_form`` reads, columns in Hermitian order.  Seen as a (d, d, d, d)
+    array ``[i, j, k, l]`` (row ``i d + j``, column ``k d + l``), L's jump
+    sum is one (K x d^2)^H (K x d^2) product laid out as ``[i, k, j, l]``,
+    where the H_eff terms are strided row and column slices (``i == k`` and
+    ``j == l``); the rows are gathered from it, forming no Kronecker product
+    and no column-stacked L."""
+    h, d = me.H.mat, me.space.dim
     jumps = np.array([op.mat for op in me.lindblads.values()],
                      dtype=complex).reshape(-1, d, d)
     h_eff = h - 0.5j * np.tensordot(jumps.conj(), jumps, axes=([0, 1], [0, 1]))
     flat = jumps.reshape(-1, d * d)
     # (flat^H flat)[(i, k), (j, l)] = sum_n conj(L_n[i, k]) L_n[j, l]
-    blocks = flat.conj().T @ flat
-    blocks[::d + 1] -= 1j * h_eff.reshape(-1)
-    blocks[:, ::d + 1] += 1j * h_eff.conj().reshape(-1, 1)
-    mat = blocks.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    lv = LiouvillianMatrix(space=me.space, mat=mat)
-    # ``MasterEquation`` checks that H is Hermitian, so L preserves
-    # Hermiticity by construction and its real form needs no check
-    object.__setattr__(lv, "_real", _real_form(_in_hermitian_order(mat, d), d))
-    return lv
+    gram = flat.conj().T @ flat
+    gram[::d + 1] -= 1j * h_eff.reshape(-1)
+    gram[:, ::d + 1] += 1j * h_eff.conj().reshape(-1, 1)
+    return gram.take(_hermitian_order(d)[2])
+
+
+def vectorize(me: MasterEquation) -> LiouvillianMatrix:
+    """Column-stacking superoperator of the master equation,
+
+        L = sum_k conj(L_k) (x) L_k - i I (x) H_eff + i conj(H_eff) (x) I,
+
+    with H_eff = H - (i/2) sum_k L_k^dag L_k, as the real form of
+    ``_generator_rows``, made once their (d^2 x d^2) product is freed.  It
+    needs no Hermiticity check: ``MasterEquation`` checks that H is Hermitian.
+    """
+    return LiouvillianMatrix(me.space, real=_real_form(_generator_rows(me), me.space.dim))
+
+
+def vectorize_sum(terms: list) -> LiouvillianMatrix:
+    """sum_c w_c L_c of ``[(w_c, me_c), ...]``, summed before its real form."""
+    space = terms[0][1].space
+    return LiouvillianMatrix(space, real=_real_form(
+        sum(w * _generator_rows(me) for w, me in terms), space.dim))
 
 
 @dataclass(frozen=True)
@@ -533,19 +550,19 @@ def steady_state(lv: LiouvillianMatrix) -> DensityMatrix:
     """Unique stationary state, column 0 of ``lv.bordered_inverse()[0]``
     mapped back to vec form, Hermitized and trace-normalized.
 
-    Raises ``NumericalInstabilityError`` if the solution leaves a relative
-    residual ||L x|| (on the complex ``lv.mat``) above 1e-10 ||L|| ||x|| or
-    has an eigenvalue below -1e-6.
+    Raises ``NumericalInstabilityError`` if the real solution x leaves ||R x||
+    = ||L vec(rho)|| (T is unitary) above 1e-10 (||R||_1 / 2) ||x|| <= 1e-10
+    ||L||_1 ||x|| (||R||_1 <= 2 ||L||_1), or has an eigenvalue below -1e-6.
     """
     w, inv = lv.bordered_inverse()[0]
-    x = from_real(inv[:, 0] if w is None else w @ inv[:, 0], lv.dim)
-    residual = np.linalg.norm(lv.mat @ x)
-    bound = 1e-10 * np.linalg.norm(lv.mat, 1) * np.linalg.norm(x)
+    x = inv[:, 0] if w is None else w @ inv[:, 0]
+    residual = np.linalg.norm(lv.real_form() @ x)
+    bound = 0.5e-10 * np.linalg.norm(lv.real_form(), 1) * np.linalg.norm(x)
     if not residual <= bound:
         raise NumericalInstabilityError(
             f"steady-state residual {residual:.3e} exceeds {bound:.3e}"
         )
-    rho = unvec(x, lv.dim)
+    rho = unvec(from_real(x, lv.dim), lv.dim)
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
     w = np.linalg.eigvalsh(rho)

@@ -443,11 +443,9 @@ def effective_gap(comps: list[Component]) -> float:
     """Gap of the weighted sum of the components' ``effective.reduce``
     generators: the like-for-like counterpart of the analytic gap, which is
     derived from the same effective operators."""
-    lvs = [liouville.vectorize(
-        effective.reduce(effective.partition(c.params)).as_master_equation())
-        for c in comps]
-    mat = sum(c.weight * lv.mat for c, lv in zip(comps, lvs))
-    return liouville.spectral_gap(liouville.LiouvillianMatrix(lvs[0].space, mat)).gap
+    return liouville.spectral_gap(liouville.vectorize_sum([
+        (c.weight, effective.reduce(effective.partition(c.params)).as_master_equation())
+        for c in comps])).gap
 
 
 def drive_for_dynamic_error(

@@ -171,8 +171,7 @@ def test_steady_asymmetry_costs_fidelity(tmp_path):
     assert 0.015 <= loss <= 0.035
 
 
-def test_sweep_asymmetry_csv(tmp_path, monkeypatch):
-    monkeypatch.setenv("LE_THREADS", "2")
+def test_sweep_asymmetry_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main([
         "sweep", "--axis", "asymmetry", "--start", "0", "--stop", "0.1",
@@ -217,12 +216,11 @@ def test_cli_import_needs_no_scipy():
         env=dict(os.environ, PYTHONPATH=str(src)), check=True)
 
 
-def test_sweep_deterministic_bytes(tmp_path, monkeypatch):
-    # the pool size must not change the bytes: worker threads share one
-    # cached space per (n_max, max_excitations)
+def test_sweep_deterministic_bytes(tmp_path):
+    # what the first run caches (spaces, operators, sectors) must not change
+    # the second run's bytes
     outs = []
-    for name, threads in (("a.csv", "1"), ("b.csv", "4")):
-        monkeypatch.setenv("LE_THREADS", threads)
+    for name in ("a.csv", "b.csv"):
         path = tmp_path / name
         assert main([
             "sweep", "--axis", "cooperativity", "--start", "20", "--stop",

@@ -23,6 +23,8 @@ from cavsinglet.liouville import (
     DensityMatrix,
     LiouvillianMatrix,
     _exchange_sectors,
+    _in_hermitian_order,
+    _real_form,
     apply_generator,
     evolve_spectral,
     fidelity,
@@ -38,6 +40,7 @@ from cavsinglet.liouville import (
     unvec,
     vec,
     vectorize,
+    vectorize_sum,
 )
 from cavsinglet.model import MasterEquation, SystemParams, build_master_equation
 from cavsinglet.schemes import (
@@ -167,7 +170,56 @@ def dense_hermitian_basis_map(d: int) -> np.ndarray:
     return np.array(rows)
 
 
+def column_stacked(me: MasterEquation) -> np.ndarray:
+    """The column-stacked L assembled in full from the jump operators'
+    (K x d^2)^H (K x d^2) product, laid out as ``[i, k, j, l]``: the oracle
+    for the bits of ``vectorize``'s real form."""
+    h = me.H.mat
+    d = h.shape[0]
+    jumps = np.array([op.mat for op in me.lindblads.values()],
+                     dtype=complex).reshape(-1, d, d)
+    h_eff = h - 0.5j * np.tensordot(jumps.conj(), jumps, axes=([0, 1], [0, 1]))
+    flat = jumps.reshape(-1, d * d)
+    blocks = flat.conj().T @ flat
+    blocks[::d + 1] -= 1j * h_eff.reshape(-1)
+    blocks[:, ::d + 1] += 1j * h_eff.conj().reshape(-1, 1)
+    return blocks.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
+def oracle_models() -> dict:
+    """Master equations of every phase-fixed scheme, an asymmetric and a
+    two-photon model, and an effective one."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # regime warnings from preset
+        params = {s: preset(s) for s in ("S1", "S0", "T1", "T0", "WS")}
+    models = {s: build_master_equation(p) for s, p in params.items()}
+    models["T0 alpha=0.05"] = build_master_equation(params["T0"].replace(alpha=0.05))
+    models["S1 n_max=2"] = build_master_equation(params["S1"].replace(n_max=2))
+    models["S1 two excitations"] = build_master_equation(
+        params["S1"].replace(n_max=2), build_space(2, 2))
+    models["S1 effective"] = effective.reduce(
+        effective.partition(params["S1"])).as_master_equation()
+    return models
+
+
 class TestRealForm:
+    @pytest.mark.parametrize("name", list(oracle_models()))
+    def test_bit_identical_to_column_stacked_oracle(self, name):
+        me = oracle_models()[name]
+        mat, d = column_stacked(me), me.dim
+        lv = vectorize(me)
+        assert np.array_equal(lv.real_form(), _real_form(_in_hermitian_order(mat, d), d))
+        assert np.abs(lv.mat - mat).max() <= 1e-15 * np.abs(mat).max()
+
+    def test_weighted_sum_bit_identical_to_summed_oracle(self):
+        # the mixture's effective gap sums its components' generators
+        terms = [(c.weight, effective.reduce(
+            effective.partition(c.params)).as_master_equation())
+            for c in components("T0S0_mix")]
+        mat, d = sum(w * column_stacked(me) for w, me in terms), terms[0][1].dim
+        assert np.array_equal(vectorize_sum(terms).real_form(),
+                              _real_form(_in_hermitian_order(mat, d), d))
+
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(
         scheme=st.sampled_from(["S1", "S0", "T1", "T0", "WS"]),
@@ -330,6 +382,10 @@ class TestSteadyState:
         norm_l = np.linalg.norm(lv.mat, 1)
         x = vec(rho.mat)
         assert np.linalg.norm(lv.mat @ x) <= 1e-10 * norm_l * np.linalg.norm(x)
+        # the check steady_state makes, on the real form: never looser
+        r, x_real = lv.real_form(), to_real(x, lv.dim)
+        bound = 0.5e-10 * np.linalg.norm(r, 1) * np.linalg.norm(x_real)
+        assert np.linalg.norm(r @ x_real) <= bound <= 1e-10 * norm_l * np.linalg.norm(x)
         report = spectral_gap(lv)
         stationary = abs(report.eigenvalues[0].real)
         assert stationary <= 10 * np.finfo(float).eps * norm_l < report.gap

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -370,6 +371,23 @@ class TestNumericBenchmarks:
         assert steady_fidelity(lv) == scheme_numeric_fidelity("T0", Omega=omega_t0)
         err = 1.0 - scheme_numeric_fidelity("T0", Omega=omega_t0)
         assert err - (1.0 - fid_weak) == pytest.approx(0.02, rel=1e-3)
+
+    @pytest.mark.parametrize("scheme", ["S1", "S0", "T1", "T0", "WS"])
+    def test_fidelity_solve_peak_allocation(self, scheme):
+        # one solve at the default truncation holds L's gathered rows beside
+        # their (d^2 x d^2) product, then R and its blocks, ~620 KiB; three
+        # complex d^4 arrays at once (1,268 KiB) made every solve fault its
+        # pages back in after the allocator trimmed them
+        params = preset(scheme)
+        numeric_fidelity(params)  # warm-up: cached spaces, sectors and indices
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            numeric_fidelity(params)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 700 * 1024
 
 
 def bisected_drive(scheme, gamma, kappa, weak):
