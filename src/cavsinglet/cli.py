@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, effective, liouville, ratemodel, schemes
-from .model import SystemParams, build_master_equation, make_space
+from .model import SystemParams, make_space
 from .schemes import SchemeId, parse_scheme
 
 DEFAULT_G_MHZ = 16.0  # g / 2 pi, reference cavity
@@ -277,7 +277,7 @@ def cmd_trajectory(args) -> int:
     for method in methods:
         try:
             if method == "full":
-                me = build_master_equation(params)
+                me = liouville.full_generator(params)
             elif method == "effective":
                 me = effective.reduce(effective.partition(params)).as_master_equation()
             elif method == "dressed_effective":

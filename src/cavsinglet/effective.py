@@ -63,9 +63,6 @@ class GroundBasis:
         """Project a parent-space matrix onto the 4x4 ground block."""
         return self.embed.conj().T @ full_matrix @ self.embed
 
-    def projector(self) -> np.ndarray:
-        return self.embed @ self.embed.conj().T
-
 
 @dataclass(frozen=True)
 class PartitionedModel:
@@ -79,19 +76,6 @@ class PartitionedModel:
     V_minus: OperatorMatrix
     lindblads: dict[str, OperatorMatrix]
     excited_idx: np.ndarray
-
-    def validate(self, tol: float = 1e-12) -> "PartitionedModel":
-        pg = self.ground.projector()
-        pe = np.eye(self.space.dim) - pg
-        scale = max(self.V_plus.norm(), 1.0)
-        vp = self.V_plus.mat
-        if float(np.abs(pg @ vp @ pg).max()) > tol * scale:
-            raise NumericalInstabilityError("V+ has ground-to-ground elements")
-        if float(np.abs(pe @ vp @ pe).max()) > tol * scale:
-            raise NumericalInstabilityError("V+ has excited-to-excited elements")
-        if float(np.abs(self.V_minus.mat - vp.conj().T).max()) > tol * scale:
-            raise NumericalInstabilityError("V- is not the adjoint of V+")
-        return self
 
 
 def partition(params: SystemParams, space: HilbertSpace | None = None) -> PartitionedModel:

@@ -215,14 +215,6 @@ class StateVector:
         self.vec = vec
 
 
-def basis_vector(space: HilbertSpace, label: Label) -> StateVector:
-    if label not in space.index_map:
-        raise ValueError(f"label {label} is excluded from this space")
-    v = np.zeros(space.dim, dtype=complex)
-    v[space.index(label)] = 1.0
-    return StateVector(space, v)
-
-
 # Two-atom combinations as amplitudes on (atom1, atom2) pairs.  The
 # triplet/singlet pairs T/S live in the ground manifold, T0/S0/T1/S1 carry
 # one atomic excitation.

@@ -2,12 +2,13 @@
 three-level atoms in a lossy single-mode cavity.
 
 All rates are angular frequencies in units of the mean atom-cavity coupling
-``g`` (the presets set g = 1).  Every term is summed from the space's cached
-read-only operators on the retained basis, so a model build only combines
-them with its parameters.  That is exact: every product formed from them
-(a^dag sigma_1e and a^dag a here, L^dag L in ``vectorize`` and the
-excited-sector elimination) lowers the excitation count before it raises it,
-so its intermediate state is retained whenever its endpoints are.
+``g`` (the presets set g = 1).  The model is one table, ``TERMS``: each row
+a real coefficient of the parameters times an operator formed from the
+space's cached read-only operators on the retained basis.  That is exact:
+every product formed from them (a^dag sigma_1e and a^dag a here, L^dag L in
+``vectorize`` and the excited-sector elimination) lowers the excitation
+count before it raises it, so its intermediate state is retained whenever
+its endpoints are.
 """
 
 from __future__ import annotations
@@ -87,18 +88,55 @@ def make_space(params: SystemParams, max_excitations: int | None = 1) -> Hilbert
     return build_space(params.n_max, max_excitations)
 
 
+def _pair(upper: str, lower: str, sign: float = 1.0):
+    """Half of |upper><lower|_1 + sign |upper><lower|_2."""
+    return lambda s: 0.5 * (s.transition(1, upper, lower)
+                            + sign * s.transition(2, upper, lower))
+
+
+def _exchange(site: int):
+    return lambda s: s.annihilator().conj().T @ s.transition(site, "1", "e")
+
+
+# The full model, one row per real coefficient c of the parameters: (part,
+# c, operator).  A Hamiltonian row's operator is A, half of its Hermitian
+# term c (A + A^dag), and the drive rows ("V") sum to V+.  A "jumps" row's
+# operator is its named jump operators L, each entering as sqrt(c) L.
+TERMS = (
+    ("Hg", lambda p: p.Omega_MW, _pair("1", "0")),
+    ("Hg", lambda p: p.beta, _pair("1", "1")),
+    ("Hg", lambda p: p.b, _pair("1", "1", -1.0)),
+    ("He", lambda p: p.delta,
+     lambda s: 0.5 * (s.annihilator().conj().T @ s.annihilator())),
+    ("He", lambda p: p.Delta, _pair("e", "e")),
+    ("He", lambda p: p.g * (1 + p.alpha), _exchange(1)),
+    ("He", lambda p: p.g * (1 - p.alpha), _exchange(2)),
+    ("V", lambda p: p.Omega, lambda s: 0.5 * s.transition(1, "e", "0")),
+    ("V", lambda p: p.Omega * math.cos(p.phi), lambda s: 0.5 * s.transition(2, "e", "0")),
+    ("V", lambda p: p.Omega * math.sin(p.phi),
+     lambda s: 0.5j * s.transition(2, "e", "0")),
+    ("jumps", lambda p: p.kappa, lambda s: {"kappa": s.annihilator()}),
+    ("jumps", lambda p: p.gamma / 2.0, lambda s: {
+        f"gamma{t}_{site}": s.transition(site, t, "e") for t in "01" for site in (1, 2)}),
+)
+
+
+def _hamiltonian(part: str, params: SystemParams, space: HilbertSpace) -> OperatorMatrix:
+    h = np.zeros((space.dim, space.dim), dtype=complex)
+    for kind, coefficient, half in TERMS:
+        if kind == part:
+            a = coefficient(params) * half(space)
+            h += a + a.conj().T
+    return OperatorMatrix(space, h)
+
+
 def build_Hg(params: SystemParams, space: HilbertSpace) -> OperatorMatrix:
     """Ground-manifold Hamiltonian: microwave coupling plus level-1 shifts.
 
     H_g = Omega_MW/2 sum_j (|1><0|_j + h.c.) + sum_j (beta + s_j b)|1><1|_j
     with s_1 = +1, s_2 = -1, so that <S|H_g|T> = -b.
     """
-    h = np.zeros((space.dim, space.dim), dtype=complex)
-    for site, sign in ((1, +1.0), (2, -1.0)):
-        flip = space.transition(site, "1", "0")
-        h += 0.5 * params.Omega_MW * (flip + flip.conj().T)
-        h += (params.beta + sign * params.b) * space.transition(site, "1", "1")
-    return OperatorMatrix(space, h)
+    return _hamiltonian("Hg", params, space)
 
 
 def build_He(params: SystemParams, space: HilbertSpace) -> OperatorMatrix:
@@ -106,15 +144,7 @@ def build_He(params: SystemParams, space: HilbertSpace) -> OperatorMatrix:
 
     Per-atom couplings are g (1 + alpha) and g (1 - alpha).
     """
-    a = space.annihilator()
-    adag = a.conj().T
-    h = params.delta * (adag @ a)
-    for site, gj in ((1, params.g * (1 + params.alpha)),
-                     (2, params.g * (1 - params.alpha))):
-        h += params.Delta * space.transition(site, "e", "e")
-        lower = adag @ space.transition(site, "1", "e")
-        h += gj * (lower + lower.conj().T)
-    return OperatorMatrix(space, h)
+    return _hamiltonian("He", params, space)
 
 
 def build_V(params: SystemParams, space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -123,25 +153,16 @@ def build_V(params: SystemParams, space: HilbertSpace) -> tuple[OperatorMatrix, 
     V+ = Omega/2 (|e><0|_1 + e^{i phi} |e><0|_2); phi = pi crosses the
     triplet and singlet sectors, phi = 0 stays within them.
     """
-    v_plus = OperatorMatrix(space, 0.5 * params.Omega * (
-        space.transition(1, "e", "0")
-        + np.exp(1j * params.phi) * space.transition(2, "e", "0")
-    ))
+    v_plus = OperatorMatrix(space, sum(c(params) * half(space)
+                                       for kind, c, half in TERMS if kind == "V"))
     return v_plus, v_plus.adjoint()
 
 
 def build_lindblads(params: SystemParams, space: HilbertSpace) -> dict[str, OperatorMatrix]:
     """Cavity loss and spontaneous emission with equal gamma/2 branching."""
-    ops: dict[str, OperatorMatrix] = {
-        "kappa": OperatorMatrix(space, math.sqrt(params.kappa) * space.annihilator())
-    }
-    rate = math.sqrt(params.gamma / 2.0)
-    for target in ("0", "1"):
-        for site in (1, 2):
-            ops[f"gamma{target}_{site}"] = OperatorMatrix(
-                space, rate * space.transition(site, target, "e")
-            )
-    return ops
+    return {name: OperatorMatrix(space, math.sqrt(c(params)) * op)
+            for kind, c, jumps in TERMS if kind == "jumps"
+            for name, op in jumps(space).items()}
 
 
 @dataclass(frozen=True)
@@ -182,3 +203,16 @@ def build_master_equation(
         H=build_hamiltonian(params, space),
         lindblads=build_lindblads(params, space),
     )
+
+
+def term_equations(space: HilbertSpace) -> list[MasterEquation]:
+    """Each ``TERMS`` row alone at unit coefficient, in order."""
+    zero, out = OperatorMatrix(space, np.zeros((space.dim, space.dim))), []
+    for kind, _, operator in TERMS:
+        if kind == "jumps":
+            ops = {k: OperatorMatrix(space, op) for k, op in operator(space).items()}
+            out.append(MasterEquation(zero, ops))
+        else:
+            a = operator(space)
+            out.append(MasterEquation(OperatorMatrix(space, a + a.conj().T), {}))
+    return out

@@ -70,15 +70,6 @@ class RateMatrix:
     matrix: np.ndarray
     states: tuple[str, ...] = DRESSED_ORDER
 
-    def validate(self) -> "RateMatrix":
-        m = self.matrix
-        off = m - np.diag(np.diag(m))
-        if off.min() < -1e-14:
-            raise ValueError("negative off-diagonal rate")
-        if np.abs(m.sum(axis=0)).max() > 1e-14 * max(np.abs(m).max(), 1.0):
-            raise ValueError("columns do not sum to zero")
-        return self
-
 
 def singlet_pump_rates(params: SystemParams, dressed: bool = False) -> np.ndarray:
     """Per-dressed-state decay rates into the singlet (both emission

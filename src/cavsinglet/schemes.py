@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 from . import effective, liouville, ratemodel
 from .errors import NoValidDriveError
 from .hilbert import named_state
-from .model import SystemParams, build_master_equation
+from .model import SystemParams
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
@@ -396,7 +396,7 @@ _KEPT: contextvars.ContextVar[dict | None] = contextvars.ContextVar("kept", defa
 
 def numeric_fidelity(params: SystemParams) -> float:
     """Full-model steady-state fidelity with the singlet."""
-    lv = liouville.vectorize(build_master_equation(params))
+    lv = liouville.full_generator(params)
     kept = _KEPT.get()
     if kept is not None:
         kept[params] = lv
@@ -434,7 +434,7 @@ def fidelity_and_spectrum(comps: list[Component]
                           ) -> tuple[float, liouville.SpectrumReport]:
     """Weighted steady-state fidelity and the full-model spectrum of the
     slowest component, each component's generator built once."""
-    lvs = [liouville.vectorize(build_master_equation(c.params)) for c in comps]
+    lvs = [liouville.full_generator(c.params) for c in comps]
     fid = mixture_fidelity(comps, [steady_fidelity(lv) for lv in lvs])
     return fid, liouville.spectral_gap(lvs[comps.index(slowest(comps))])
 
@@ -487,8 +487,7 @@ def drive_for_dynamic_error(
     def found(omega: float) -> tuple:
         params = slowest(components(scheme, g=g, gamma=gamma, kappa=kappa,
                                     Omega=omega)).params
-        return omega, weak, kept.get(params) or liouville.vectorize(
-            build_master_equation(params))
+        return omega, weak, kept.get(params) or liouville.full_generator(params)
 
     weak = fidelity(gamma / 10.0)
     if scheme is SchemeId.S1:

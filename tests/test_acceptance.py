@@ -21,6 +21,7 @@ from cavsinglet.schemes import (
     preset,
     scheme_numeric_fidelity,
 )
+from oracles import final_state
 
 SQ2 = math.sqrt(2.0)
 C_REF = 256.0 / 15.0
@@ -170,7 +171,7 @@ def test_criterion_5_optimal_time_protocol(s1_params):
         traj = liouville.propagate(
             me, liouville.mixed_ground_state(me.space), t_final, 0.05
         )
-        return liouville.fidelity(traj.final(), named_state(me.space, "S"))
+        return liouville.fidelity(final_state(traj), named_state(me.space, "S"))
 
     achieved = fidelity_after(opt["Omega_opt"])
     assert achieved > 0.90

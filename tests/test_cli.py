@@ -216,6 +216,15 @@ def test_cli_import_needs_no_scipy():
         env=dict(os.environ, PYTHONPATH=str(src)), check=True)
 
 
+def test_cli_import_forms_no_generator_terms():
+    # the full model's per-term real forms are built on first use, not on import
+    src = Path(cavsinglet.__file__).resolve().parent.parent
+    subprocess.run(
+        [sys.executable, "-c",
+         "import cavsinglet.cli; assert cavsinglet.liouville._TERM_FORMS == {}"],
+        env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+
+
 def test_sweep_deterministic_bytes(tmp_path):
     # what the first run caches (spaces, operators, sectors) must not change
     # the second run's bytes
@@ -352,13 +361,13 @@ def test_table1_s1_row(tmp_path):
 def test_table1_solves_each_model_once(tmp_path, monkeypatch):
     # the drive search returns the weak-drive fidelity it measures from and
     # the generator it built and solved at the drive it found
-    solve, build = schemes.numeric_fidelity, liouville.vectorize
+    solve, build = schemes.numeric_fidelity, liouville.full_generator
     for scheme, solves in (("T0", 6), ("T0S0_mix", None)):
         solved, built = [], []
         monkeypatch.setattr(schemes, "numeric_fidelity",
                             lambda params: solved.append(params) or solve(params))
-        monkeypatch.setattr(liouville, "vectorize",
-                            lambda me: built.append(me) or build(me))
+        monkeypatch.setattr(liouville, "full_generator",
+                            lambda params: built.append(params) or build(params))
         out = str(tmp_path / "t.csv")
         assert main(["table1", "--schemes", scheme, "--out", out]) == 0
         monkeypatch.undo()

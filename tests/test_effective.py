@@ -19,6 +19,7 @@ from cavsinglet.errors import SingularPropagatorError
 from cavsinglet.hilbert import named_state
 from cavsinglet.model import SystemParams, build_master_equation
 from cavsinglet.schemes import SchemeId, preset
+from oracles import ground_projector, validate_partition
 
 SQ2 = math.sqrt(2.0)
 
@@ -47,8 +48,8 @@ def random_drive_free_params(rng):
 
 class TestPartition:
     def test_projectors_and_drive_structure(self, s1_params):
-        pm = partition(s1_params).validate()
-        pg = pm.ground.projector()
+        pm = validate_partition(partition(s1_params))
+        pg = ground_projector(pm.ground)
         pe = np.zeros((12, 12))
         pe[pm.excited_idx, pm.excited_idx] = 1.0
         assert np.abs(pg + pe - np.eye(12)).max() < 1e-14

@@ -10,11 +10,11 @@ from cavsinglet.hilbert import (
     HilbertSpace,
     OperatorMatrix,
     StateVector,
-    basis_vector,
     build_space,
     excitation_count,
     named_state,
 )
+from oracles import basis_vector
 
 # frozen basis ordering for the default space (n_max=1, <=1 excitation):
 # atom1-major, then atom2, then photon ascending

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cavsinglet import effective
+from cavsinglet import effective, liouville
 from cavsinglet.errors import (
     DegenerateSteadyStateError,
     DimensionMismatchError,
@@ -25,10 +25,10 @@ from cavsinglet.liouville import (
     _exchange_sectors,
     _in_hermitian_order,
     _real_form,
-    apply_generator,
     evolve_spectral,
     fidelity,
     from_real,
+    full_generator,
     ground_state_vectors,
     mixed_ground_state,
     propagate,
@@ -42,13 +42,14 @@ from cavsinglet.liouville import (
     vectorize,
     vectorize_sum,
 )
-from cavsinglet.model import MasterEquation, SystemParams, build_master_equation
+from cavsinglet.model import TERMS, MasterEquation, SystemParams, build_master_equation
 from cavsinglet.schemes import (
     SchemeId,
     cavity_rates_for_cooperativity,
     components,
     preset,
 )
+from oracles import apply_generator, final_state, validate_density
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -263,6 +264,52 @@ class TestRealForm:
         assert np.abs((t @ lv.mat @ t.conj().T).imag).max() < 1e-12
 
 
+REFERENCE = dict(C=256.0 / 15.0, omega_frac=0.2, alpha=0.0, b=0.0, beta=0.01,
+                 Delta=0.6, delta=0.4, omega_mw=0.01, n_max=1)
+
+
+class TestFullGenerator:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        C=st.floats(10.0, 1000.0),
+        omega_frac=st.floats(0.0, 1.0),
+        phi=st.floats(0.0, 2.0 * np.pi, exclude_max=True),
+        alpha=st.floats(-0.3, 0.3, exclude_min=True, exclude_max=True),
+        b=st.floats(-0.1, 0.1),
+        beta=st.floats(-0.1, 0.1),
+        Delta=st.floats(-1000.0, 1000.0),
+        delta=st.floats(-2.0, 2.0),
+        omega_mw=st.floats(0.0, 0.5),
+        n_max=st.sampled_from([1, 2]),
+    )
+    @example(phi=0.0, **REFERENCE)
+    @example(phi=np.pi, **REFERENCE)
+    def test_term_sum_matches_vectorized_model(
+            self, C, omega_frac, phi, alpha, b, beta, Delta, delta, omega_mw, n_max):
+        gamma, kappa = cavity_rates_for_cooperativity(C)
+        params = SystemParams(gamma=gamma, kappa=kappa, Omega=omega_frac * gamma / 2,
+                              Omega_MW=omega_mw, Delta=Delta, delta=delta, beta=beta,
+                              phi=phi, alpha=alpha, b=b, n_max=n_max)
+        lv, ref = full_generator(params), vectorize(build_master_equation(params))
+        r = ref.real_form()
+        assert np.abs(lv.real_form() - r).max() <= 1e-14 * np.abs(r).max()
+        assert [m.shape for _, m in lv.blocks()] == [m.shape for _, m in ref.blocks()]
+
+    def test_forms_cached_once_per_space_and_read_only(self, monkeypatch):
+        monkeypatch.setattr(liouville, "_TERM_FORMS", {})
+        calls, build = [], liouville.vectorize
+        monkeypatch.setattr(liouville, "vectorize", lambda me: calls.append(me) or build(me))
+        params = SystemParams(Omega=0.1, Omega_MW=0.05)
+        first = full_generator(params)
+        forms = liouville._TERM_FORMS[first.space]
+        full_generator(params.replace(Omega=0.2))
+        assert len(calls) == len(TERMS)
+        assert liouville._TERM_FORMS[first.space] is forms
+        full_generator(params.replace(n_max=2))
+        assert len(calls) == 2 * len(TERMS) and len(liouville._TERM_FORMS) == 2
+        assert not any(a.flags.writeable for a in (*forms, first.real_form()))
+
+
 def exchange_superoperator(space, parity: bool) -> np.ndarray:
     """conj(U) (x) U for U the atom swap, times (-1)^excitations if
     ``parity``: the column-stacked action of rho -> U rho U^H."""
@@ -358,11 +405,11 @@ class TestSteadyState:
     def test_residual_and_structure(self, s1_steady, s1_liouvillian):
         residual = np.linalg.norm(s1_liouvillian.mat @ vec(s1_steady.mat))
         assert residual < 1e-9
-        s1_steady.validate()  # hermitian, unit trace, positive
+        validate_density(s1_steady)  # hermitian, unit trace, positive
 
     def test_long_time_propagation_converges(self, strong_drive_run):
         me, lv, traj, rho_ss = strong_drive_run
-        assert trace_distance(traj.final().mat, rho_ss.mat) < 1e-6
+        assert trace_distance(final_state(traj).mat, rho_ss.mat) < 1e-6
 
     @settings(derandomize=True, deadline=None, max_examples=50)
     @given(
@@ -378,7 +425,7 @@ class TestSteadyState:
             params = preset(scheme, gamma=gamma, kappa=kappa,
                             Omega=omega_over_gamma * gamma)
         lv = vectorize(build_master_equation(params))
-        rho = steady_state(lv).validate()
+        rho = validate_density(steady_state(lv))
         norm_l = np.linalg.norm(lv.mat, 1)
         x = vec(rho.mat)
         assert np.linalg.norm(lv.mat @ x) <= 1e-10 * norm_l * np.linalg.norm(x)

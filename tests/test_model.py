@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cavsinglet.hilbert import basis_vector, build_space, named_state
+from cavsinglet.hilbert import build_space, named_state
 from cavsinglet.model import (
     SystemParams,
     build_He,
@@ -15,8 +15,8 @@ from cavsinglet.model import (
     build_master_equation,
     make_space,
 )
-from cavsinglet.liouville import apply_generator
 from cavsinglet.schemes import SchemeId, preset
+from oracles import apply_generator, basis_vector
 
 SQ2 = math.sqrt(2.0)
 
@@ -237,7 +237,10 @@ class TestSharedSpace:
         shared = build_space(n_max, cap)
         first = preset(SchemeId.S1, Omega=0.05).replace(alpha=0.02, delta=-0.01)
         second = preset(SchemeId.WS, Omega=0.02)
-        for params in (first, second, first):
+        # every row of the term table nonzero, at a drive phase off 0 and pi
+        every = preset(SchemeId.T0, Omega_MW=0.02).replace(
+            phi=1.0, b=0.01, alpha=0.05, beta=0.003)
+        for params in (first, second, every, first):
             params = params.replace(n_max=n_max)
             me = build_master_equation(params, shared)
             h_ref, jumps_ref = brute_force_master_equation(params, shared)

@@ -16,6 +16,7 @@ from rate_diagnostics import (
     slowest_rate,
     steady_populations,
 )
+from oracles import validate_rates
 
 C_REF = 256.0 / 15.0
 SQ2 = math.sqrt(2.0)
@@ -64,7 +65,7 @@ class TestDressedBasis:
 class TestRateMatrix:
     def test_structure(self, s1_params):
         for dressed in (False, True):
-            rm = build_rates(s1_params, dressed=dressed).validate()
+            rm = validate_rates(build_rates(s1_params, dressed=dressed))
             assert rm.matrix.shape == (4, 4)
             assert np.abs(rm.matrix.sum(axis=0)).max() < 1e-16
 

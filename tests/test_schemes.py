@@ -7,8 +7,7 @@ import pytest
 
 from cavsinglet import schemes
 from cavsinglet.errors import NoValidDriveError
-from cavsinglet.liouville import vectorize
-from cavsinglet.model import build_master_equation
+from cavsinglet.liouville import full_generator
 from cavsinglet.schemes import (
     SCHEMES,
     SchemeId,
@@ -360,7 +359,7 @@ class TestNumericBenchmarks:
         omega, fid_weak, lv = drive_for_dynamic_error("S1")
         assert fid_weak == scheme_numeric_fidelity("S1")
         p = preset("S1", Omega=omega)
-        assert np.array_equal(lv.mat, vectorize(build_master_equation(p)).mat)
+        assert np.array_equal(lv.real_form(), full_generator(p).real_form())
         out = combined_error_s1(p)
         assert out["total"] - out["static"] == pytest.approx(0.02, rel=1e-6)
         # search path on a numeric scheme, measured from the weak-drive
@@ -374,8 +373,8 @@ class TestNumericBenchmarks:
 
     @pytest.mark.parametrize("scheme", ["S1", "S0", "T1", "T0", "WS"])
     def test_fidelity_solve_peak_allocation(self, scheme):
-        # one solve at the default truncation holds L's gathered rows beside
-        # their (d^2 x d^2) product, then R and its blocks, ~620 KiB; three
+        # one solve at the default truncation holds R and its blocks, 490-573
+        # KiB (~620 KiB while each solve vectorized a built model); three
         # complex d^4 arrays at once (1,268 KiB) made every solve fault its
         # pages back in after the allocator trimmed them
         params = preset(scheme)
