@@ -9,16 +9,9 @@ fidelity and convergence benchmarks numerically and analytically.
 
 __version__ = "0.1.0"
 
-from .hilbert import (
-    HilbertSpace,
-    OperatorMatrix,
-    StateVector,
-    build_space,
-    named_state,
-)
+from .hilbert import HilbertSpace, build_space, named_state
 from .model import MasterEquation, SystemParams, build_master_equation, make_space
 from .liouville import (
-    DensityMatrix,
     SpectrumReport,
     Trajectory,
     fidelity,
@@ -32,7 +25,6 @@ from .effective import (
     EffectiveModel,
     GroundBasis,
     PartitionedModel,
-    closed_form_propagators,
     partition,
     reduce,
     reduce_dressed,
@@ -41,13 +33,12 @@ from .schemes import SchemeId, gap_analytic, preset, static_error
 from .ratemodel import DressedBasis, RateMatrix, build_dressed_basis, build_rates
 
 __all__ = [
-    "HilbertSpace", "OperatorMatrix", "StateVector", "build_space", "named_state",
+    "HilbertSpace", "build_space", "named_state",
     "MasterEquation", "SystemParams", "build_master_equation", "make_space",
-    "DensityMatrix", "SpectrumReport", "Trajectory", "fidelity",
+    "SpectrumReport", "Trajectory", "fidelity",
     "mixed_ground_state", "propagate", "spectral_gap", "steady_state",
     "vectorize",
-    "EffectiveModel", "GroundBasis", "PartitionedModel",
-    "closed_form_propagators", "partition",
+    "EffectiveModel", "GroundBasis", "PartitionedModel", "partition",
     "reduce", "reduce_dressed",
     "SchemeId", "gap_analytic", "preset", "static_error",
     "DressedBasis", "RateMatrix", "build_dressed_basis", "build_rates",

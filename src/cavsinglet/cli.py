@@ -255,7 +255,7 @@ def cmd_table1(args) -> int:
 # -- trajectory ----------------------------------------------------------------
 
 
-def _initial_state(spec: str, space) -> liouville.DensityMatrix:
+def _initial_state(spec: str, space) -> np.ndarray:
     """The mixed ground state or one of the named ground states of ``space``."""
     if spec == "mixed":
         return liouville.mixed_ground_state(space)
@@ -263,7 +263,7 @@ def _initial_state(spec: str, space) -> liouville.DensityMatrix:
     if spec not in vectors:
         raise ValueError(f"no initial state {spec!r}: choose mixed, "
                          f"{', '.join(vectors)}")
-    return liouville.DensityMatrix(space, np.outer(vectors[spec], vectors[spec].conj()))
+    return np.outer(vectors[spec], vectors[spec].conj())
 
 
 def cmd_trajectory(args) -> int:
@@ -289,7 +289,7 @@ def cmd_trajectory(args) -> int:
                 times, _ = liouville.sample_grid(args.t_final, dt)
                 # populations in the (00, T, 11, S) order of the ground basis
                 bare0 = np.diag(_initial_state(
-                    args.rho0, effective.GroundBasis(make_space(params))).mat).real
+                    args.rho0, effective.GroundBasis(make_space(params)))).real
                 # dressed populations map to bare ones through the squared
                 # basis-change amplitudes (diagonal-density approximation)
                 weights = db.transform() ** 2

@@ -1,8 +1,8 @@
 """Adiabatic elimination of the decaying singly-excited manifold.
 
-Builds the non-Hermitian propagator of the excited states, its closed-form
-block entries, and the ground-manifold effective Hamiltonian and decay
-operators, in both the plain and the microwave-dressed variants.
+Builds the non-Hermitian propagator of the excited states and the
+ground-manifold effective Hamiltonian and decay operators, in both the plain
+and the microwave-dressed variants.
 
 The ground sector is the span of the four zero-photon, zero-excitation
 states ordered (00, T, 11, S); everything else (atomic excitations and
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalInstabilityError, SingularPropagatorError
-from .hilbert import HilbertSpace, OperatorMatrix, excitation_count, named_state
+from .errors import NumericalInstabilityError
+from .hilbert import HilbertSpace, excitation_count, named_state
 from .model import (
     MasterEquation,
     SystemParams,
@@ -41,20 +41,12 @@ class GroundBasis:
         self.parent = parent
         self.labels = GROUND_LABELS
         self.embed = np.column_stack(
-            [named_state(parent, name, photon=0).vec for name in GROUND_LABELS]
+            [named_state(parent, name, photon=0) for name in GROUND_LABELS]
         )
 
     @property
     def dim(self) -> int:
         return 4
-
-    def __eq__(self, other):
-        if not isinstance(other, GroundBasis):
-            return NotImplemented
-        return self.parent == other.parent
-
-    def __hash__(self):
-        return hash(("ground", self.parent))
 
     def __repr__(self):
         return f"GroundBasis(parent={self.parent!r})"
@@ -71,10 +63,10 @@ class PartitionedModel:
     params: SystemParams
     space: HilbertSpace
     ground: GroundBasis
-    H0: OperatorMatrix          # H_g + H_e, every non-drive coupling
-    V_plus: OperatorMatrix
-    V_minus: OperatorMatrix
-    lindblads: dict[str, OperatorMatrix]
+    H0: np.ndarray          # H_g + H_e, every non-drive coupling
+    V_plus: np.ndarray
+    V_minus: np.ndarray
+    lindblads: dict[str, np.ndarray]
     excited_idx: np.ndarray
 
 
@@ -99,77 +91,33 @@ def partition(params: SystemParams, space: HilbertSpace | None = None) -> Partit
     )
 
 
-def build_hnh(pm: PartitionedModel) -> OperatorMatrix:
+def build_hnh(pm: PartitionedModel) -> np.ndarray:
     """Non-Hermitian Hamiltonian of the excited sector.
 
     P_e (H0 - i/2 sum_k L_k^dag L_k) P_e, kept as a full-dimension matrix
     supported on the excited block.
     """
-    decay = sum(
-        op.mat.conj().T @ op.mat for op in pm.lindblads.values()
-    )
-    full = pm.H0.mat - 0.5j * decay
+    decay = sum(op.conj().T @ op for op in pm.lindblads.values())
+    full = pm.H0 - 0.5j * decay
     idx = pm.excited_idx
     out = np.zeros_like(full)
     out[np.ix_(idx, idx)] = full[np.ix_(idx, idx)]
-    return OperatorMatrix(pm.space, out)
+    return out
 
 
-def invert_hnh(hnh: OperatorMatrix, excited_idx: np.ndarray) -> OperatorMatrix:
+def invert_hnh(hnh: np.ndarray, excited_idx: np.ndarray) -> np.ndarray:
     """Inverse of a (possibly energy-shifted) non-Hermitian Hamiltonian on
     its excited block; the one propagator inverse of both reductions."""
-    block = hnh.mat[np.ix_(excited_idx, excited_idx)]
+    block = hnh[np.ix_(excited_idx, excited_idx)]
     cond = np.linalg.cond(block)
     if not np.isfinite(cond) or cond > 1e14:
         raise NumericalInstabilityError(
             f"excited block is numerically singular (cond ~ {cond:.2e})"
         )
     inv_block = np.linalg.inv(block)
-    out = np.zeros_like(hnh.mat)
+    out = np.zeros_like(hnh)
     out[np.ix_(excited_idx, excited_idx)] = inv_block
-    return OperatorMatrix(hnh.space, out)
-
-
-@dataclass(frozen=True)
-class ComplexDetunings:
-    """Closed-form propagator entries of the excited-sector blocks.
-
-    Delta_t[n] and delta_t[n] are the complex detunings Delta_n - i gamma/2
-    and delta_n - i kappa/2 of the atomic- and cavity-excited states with n
-    atoms in level 1.  Delta_eff / delta_eff / g_eff are the loop- and
-    transition-like inverse-propagator denominators of the n-excitation
-    blocks; the n = 0 entries describe the uncoupled dark states (with the
-    convention Delta_{-1} = Delta_1, so Delta_eff[0] is the dark-state
-    energy itself).
-    """
-
-    Delta_t: dict[int, complex]
-    delta_t: dict[int, complex]
-    Delta_eff: dict[int, complex]
-    delta_eff: dict[int, complex]
-    g_eff: dict[int, complex]
-    D: dict[int, complex]
-
-
-def closed_form_propagators(params: SystemParams) -> ComplexDetunings:
-    """Loop- and transition-like propagator denominators of the three
-    interacting and two dark excited subspaces."""
-    g = params.g
-    gamma, kappa = params.gamma, params.kappa
-    Delta_t = {n: params.Delta + n * params.beta - 0.5j * gamma for n in (0, 1, 2)}
-    delta_t = {n: params.delta + n * params.beta - 0.5j * kappa for n in (0, 1, 2)}
-    Delta_prev = {0: Delta_t[1], 1: Delta_t[0], 2: Delta_t[1]}  # Delta_{-1} = Delta_1
-    D = {n: n * g * g - delta_t[n] * Delta_prev[n] for n in (0, 1, 2)}
-    for n in (1, 2):
-        if abs(D[n]) < 1e-12 * g * g:
-            raise SingularPropagatorError(n, D[n])
-    Delta_eff = {n: Delta_prev[n] - (n * g * g / delta_t[n] if n else 0.0)
-                 for n in (0, 1, 2)}
-    delta_eff = {n: delta_t[n] - (n * g * g / Delta_prev[n] if n else 0.0)
-                 for n in (0, 1, 2)}
-    g_eff = {n: math.sqrt(n) * g - delta_t[n] * Delta_prev[n] / (math.sqrt(n) * g)
-             for n in (1, 2)}
-    return ComplexDetunings(Delta_t, delta_t, Delta_eff, delta_eff, g_eff, D)
+    return out
 
 
 class EffectiveModel:
@@ -191,12 +139,7 @@ class EffectiveModel:
 
     def as_master_equation(self) -> MasterEquation:
         h = 0.5 * (self.H_eff + self.H_eff.conj().T)
-        return MasterEquation(
-            H=OperatorMatrix(self.ground, h),
-            lindblads={
-                k: OperatorMatrix(self.ground, v) for k, v in self.L_effs.items()
-            },
-        )
+        return MasterEquation(self.ground, h, self.L_effs)
 
     def to_json(self, rates: dict | None = None) -> str:
         def matdump(m):
@@ -223,48 +166,26 @@ def reduce(pm: PartitionedModel) -> EffectiveModel:
 
 
 def ground_hamiltonian_block(pm: PartitionedModel) -> np.ndarray:
-    return pm.ground.restrict(pm.H0.mat)
-
-
-def _dark_projector(pm: PartitionedModel) -> np.ndarray:
-    """Projector onto excited states untouched by the atom-cavity exchange."""
-    zero_drive = pm.params.replace(Omega=0.0, Omega_MW=0.0, Delta=0.0,
-                                   delta=0.0, beta=0.0, b=0.0)
-    ac = build_He(zero_drive, pm.space).mat
-    idx = pm.excited_idx
-    # the exchange block is Hermitian: its null space is the eigenspace of
-    # the eigenvalues that vanish on the block's own scale
-    w, v = np.linalg.eigh(ac[np.ix_(idx, idx)])
-    null = v[:, np.abs(w) <= 1e-12 * max(np.abs(w).max(), 1.0)]
-    proj = np.zeros((pm.space.dim, pm.space.dim), dtype=complex)
-    proj[np.ix_(idx, idx)] = null @ null.conj().T
-    return proj
+    return pm.ground.restrict(pm.H0)
 
 
 def reduce_dressed(
     pm: PartitionedModel,
     ground_energies: np.ndarray | None = None,
-    retain: str = "all",
 ) -> EffectiveModel:
     """Effective model with ground-state energies kept in the propagators.
 
     Each ground eigenstate l of energy E_l is excited through the shifted
-    propagator (H_NH - E_l)^(-1).  ``retain="all"`` keeps the shift in every
-    propagator entry; ``retain="dark"`` keeps it only inside the dark
-    (cavity-uncoupled) excited subspace, mimicking the selective treatment
-    where only the engineered-strong propagators are shifted.
+    propagator (H_NH - E_l)^(-1), the shift covering the whole excited block.
     """
-    if retain not in ("all", "dark"):
-        raise ValueError(f"retain must be 'all' or 'dark', got {retain!r}")
     hg_block = ground_hamiltonian_block(pm)
     evals, evecs = np.linalg.eigh(hg_block)
     if ground_energies is not None:
         evals = np.asarray(ground_energies, dtype=float)
     idx = pm.excited_idx
-    hnh = build_hnh(pm).mat
-    vp = pm.V_plus.mat
+    hnh = build_hnh(pm)
+    vp = pm.V_plus
     g = pm.ground
-    dark = _dark_projector(pm)[np.ix_(idx, idx)] if retain == "dark" else None
 
     # Group degenerate energies: the summed projector over a degenerate set
     # is basis independent.
@@ -285,14 +206,14 @@ def reduce_dressed(
         )
         proj_full = g.embed @ proj4 @ g.embed.conj().T
         shifted = hnh.copy()
-        shifted[np.ix_(idx, idx)] -= e0 * (np.eye(len(idx)) if dark is None else dark)
-        inv = invert_hnh(OperatorMatrix(pm.space, shifted), idx).mat
+        shifted[np.ix_(idx, idx)] -= e0 * np.eye(len(idx))
+        inv = invert_hnh(shifted, idx)
         kernel += inv @ vp @ proj_full
 
-    half = pm.V_minus.mat @ kernel
+    half = pm.V_minus @ kernel
     h_eff = g.restrict(-0.5 * (half + half.conj().T)) + hg_block
     l_effs = {
-        name: g.restrict(op.mat @ kernel) for name, op in pm.lindblads.items()
+        name: g.restrict(op @ kernel) for name, op in pm.lindblads.items()
     }
     return EffectiveModel(
         g, h_eff, l_effs, dressed=True, ground_energies=tuple(float(e) for e in evals)

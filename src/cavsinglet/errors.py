@@ -2,7 +2,7 @@
 
 
 class DimensionMismatchError(ValueError):
-    """Operators or states living on different spaces were combined."""
+    """An operator or state does not have the shape its space requires."""
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -18,21 +18,6 @@ class DegenerateSteadyStateError(RuntimeError):
 
 class NumericalInstabilityError(RuntimeError):
     """A numeric result violates a structural bound (positivity, conditioning)."""
-
-
-class NotHermiticityPreservingError(RuntimeError):
-    """A matrix given as a Lindblad generator maps some Hermitian operator to
-    a non-Hermitian one, so it has no real Hermitian-basis form."""
-
-
-class SingularPropagatorError(RuntimeError):
-    """A closed-form propagator denominator is numerically singular."""
-
-    def __init__(self, block: int, value: complex):
-        super().__init__(
-            f"near-singular propagator denominator D_{block} = {value:.3e}"
-        )
-        self.block = block
 
 
 class NoValidDriveError(ValueError):

@@ -1,5 +1,6 @@
-"""Tensor-product basis and dense complex operator algebra for two
-three-level atoms sharing a single cavity mode.
+"""Tensor-product basis, single-site operators and named states for two
+three-level atoms sharing a single cavity mode.  Operators and states are
+plain complex arrays on a space's retained basis.
 
 Basis labels are triples ``(atom1, atom2, photon)`` with atomic levels
 ``"0"``, ``"1"``, ``"e"``.  The ordering is atom1-major, then atom2, then
@@ -21,8 +22,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .errors import DimensionMismatchError
 
 ATOM_LEVELS = ("0", "1", "e")
 
@@ -72,17 +71,6 @@ class HilbertSpace:
     @property
     def dim(self) -> int:
         return len(self.labels)
-
-    def __eq__(self, other):
-        if not isinstance(other, HilbertSpace):
-            return NotImplemented
-        return (
-            self.n_max == other.n_max
-            and self.max_excitations == other.max_excitations
-        )
-
-    def __hash__(self):
-        return hash((self.n_max, self.max_excitations))
 
     def __repr__(self):
         return (
@@ -141,80 +129,6 @@ def build_space(n_max: int = 1, max_excitations: int | None = None) -> HilbertSp
     return space
 
 
-class OperatorMatrix:
-    """Dense complex operator over a fixed basis.
-
-    Supports +, -, scalar * and the operator product via ``@``.  Mixing
-    operators from different spaces raises ``DimensionMismatchError``.
-    """
-
-    __slots__ = ("space", "mat")
-
-    def __init__(self, space, mat):
-        mat = np.asarray(mat, dtype=complex)
-        if mat.shape != (space.dim, space.dim):
-            raise DimensionMismatchError(
-                f"matrix shape {mat.shape} does not fit space of dim {space.dim}"
-            )
-        self.space = space
-        self.mat = mat
-
-    def _check(self, other: "OperatorMatrix"):
-        if self.space != other.space:
-            raise DimensionMismatchError("operators live on different spaces")
-
-    def __add__(self, other):
-        self._check(other)
-        return OperatorMatrix(self.space, self.mat + other.mat)
-
-    def __sub__(self, other):
-        self._check(other)
-        return OperatorMatrix(self.space, self.mat - other.mat)
-
-    def __mul__(self, scalar):
-        return OperatorMatrix(self.space, self.mat * scalar)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        self._check(other)
-        return OperatorMatrix(self.space, self.mat @ other.mat)
-
-    def adjoint(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.space, self.mat.conj().T)
-
-    def norm(self) -> float:
-        """Largest absolute entry."""
-        return float(np.abs(self.mat).max()) if self.mat.size else 0.0
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        scale = max(self.norm(), 1.0)
-        return float(np.abs(self.mat - self.mat.conj().T).max()) <= tol * scale
-
-
-class StateVector:
-    """Unit-norm dense state over a fixed basis."""
-
-    __slots__ = ("space", "vec")
-
-    def __init__(self, space, vec, normalize: bool = False):
-        vec = np.asarray(vec, dtype=complex)
-        if vec.shape != (space.dim,):
-            raise DimensionMismatchError(
-                f"vector shape {vec.shape} does not fit space of dim {space.dim}"
-            )
-        nrm = float(np.linalg.norm(vec))
-        if normalize:
-            if nrm == 0.0:
-                raise ValueError("cannot normalize the zero vector")
-            vec = vec / nrm
-            nrm = 1.0
-        if abs(nrm - 1.0) > 1e-12:
-            raise ValueError(f"state vector is not normalized, |v| = {nrm!r}")
-        self.space = space
-        self.vec = vec
-
-
 # Two-atom combinations as amplitudes on (atom1, atom2) pairs.  The
 # triplet/singlet pairs T/S live in the ground manifold, T0/S0/T1/S1 carry
 # one atomic excitation.
@@ -236,8 +150,9 @@ def named_state(
     photon: int = 0,
     b: float = 0.0,
     Omega_MW: float = 0.0,
-) -> StateVector:
-    """Return a named two-atom state tensored with a cavity Fock state.
+) -> np.ndarray:
+    """Return a named two-atom state tensored with a cavity Fock state, as
+    a unit vector on the basis of ``space``.
 
     ``psiS`` and ``psi1`` are the dark and bright combinations of ``11`` and
     ``S`` under a ground Hamiltonian with microwave coupling ``Omega_MW`` and
@@ -276,4 +191,4 @@ def named_state(
             raise ValueError(f"state {name!r} with photon={photon} is excluded "
                              f"by the truncation (label {label})")
         v[space.index(label)] = amp
-    return StateVector(space, v)
+    return v

@@ -19,10 +19,9 @@ import numpy as np
 from .errors import (
     DegenerateSteadyStateError,
     DimensionMismatchError,
-    NotHermiticityPreservingError,
     NumericalInstabilityError,
 )
-from .hilbert import StateVector, excitation_count, named_state
+from .hilbert import excitation_count, named_state
 from .model import TERMS, MasterEquation, SystemParams, make_space, term_equations
 
 # Above this condition number of the eigenvector matrix, V (c * exp(w t))
@@ -36,9 +35,8 @@ TRACE_TOL = 1e-8
 # Trace distance to the steady state at which ``time_to_convergence`` stops.
 CONVERGED_DISTANCE = 0.01
 
-# Largest real or imaginary part of conj(L) - P L P, relative to L's, that
-# the real form of a hand-built generator may drop (P swaps rho_ij and
-# rho_ji).
+# Largest coupling between two exchange sectors, relative to max|R|, that
+# ``LiouvillianMatrix.blocks`` may drop when it splits R.
 HERMITICITY_TOL = 1e-12
 
 # Sample times evaluated per block, so that the temporaries stay a fraction
@@ -134,15 +132,15 @@ def spectral_solution(blocks: list, y0: np.ndarray, eigenblock):
 
 
 @functools.lru_cache(maxsize=None)
-def _hermitian_order(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _hermitian_order(d: int) -> tuple[np.ndarray, np.ndarray]:
     """vec indices of rho_ii, then of rho_ij and of rho_ji for i < j (the
-    entries of vec(rho) that each real coordinate reads); the flat indices
-    of a d^2 x d^2 matrix taken in that order on both axes; and those of its
-    rows rho_ii and rho_ij alone in ``_generator_rows``'s layout."""
+    entries of vec(rho) that each real coordinate reads), and the flat
+    indices of a d^2 x d^2 matrix's rows rho_ii and rho_ij, columns in that
+    order, in ``_generator_rows``'s layout."""
     i, j = np.triu_indices(d, 1)
     order = np.concatenate([np.arange(d) * (d + 1), i + j * d, j + i * d])
     rows = order[:d + len(i)]  # entry (r, c) at (r // d, c // d, r % d, c % d)
-    return _readonly(order), _readonly(order[:, None] * (d * d) + order), _readonly(
+    return _readonly(order), _readonly(
         (rows // d * d ** 3 + rows % d * d)[:, None] + order // d * d * d + order % d)
 
 
@@ -166,32 +164,15 @@ def to_real(v: np.ndarray, d: int) -> np.ndarray:
                            -1j * math.sqrt(0.5) * (up - lo)])
 
 
-def _in_hermitian_order(mat: np.ndarray, d: int) -> np.ndarray:
-    return mat.take(_hermitian_order(d)[1])
-
-
-def _hermiticity_defect(m: np.ndarray, d: int) -> float:
-    """Largest real or imaginary part of conj(L) - P L P, with P swapping
-    rho_ij and rho_ji, for L given as ``_in_hermitian_order`` returns it:
-    what the real form drops.  Block by block, P swaps upper and lower."""
-    n = (d * d - d) // 2
-    D, U, Lo = slice(0, d), slice(d, d + n), slice(d + n, None)
-    return max(np.abs(m[D, D].imag).max(), *(
-        np.abs((m[a] - m[b].conj()).view(float)).max()
-        for a, b in (((D, Lo), (D, U)), ((Lo, D), (U, D)),
-                     ((Lo, U), (U, Lo)), ((Lo, Lo), (U, U)))))
-
-
 def _real_form(m: np.ndarray, d: int) -> np.ndarray:
     """R = T L T^H, with T the unitary map from vec(rho) to the real
-    coordinates (rho_ii, sqrt2 Re rho_ij, sqrt2 Im rho_ij for i < j), for L
-    given as ``_in_hermitian_order`` returns it or as its rows rho_ii and
-    rho_ij alone (the first d + n), the only ones read.
+    coordinates (rho_ii, sqrt2 Re rho_ij, sqrt2 Im rho_ij for i < j), for
+    L's rows rho_ii and rho_ij (i < j), columns in ``_hermitian_order``.
 
-    R is real and has the spectrum of L exactly when L preserves
-    Hermiticity, conj(L) = P L P.  It is read off the diag and upper rows
-    of L by index arithmetic; the lower rows are taken to be their
-    conjugate images, as ``_hermiticity_defect`` checks.
+    R is real and has the spectrum of L because a Lindblad generator
+    preserves Hermiticity, conj(L) = P L P with P swapping rho_ij and
+    rho_ji.  It is read off those rows by index arithmetic; the rows rho_ji
+    are their conjugate images.
     """
     n = (d * d - d) // 2
     D, U, Lo = slice(0, d), slice(d, d + n), slice(d + n, None)
@@ -262,47 +243,24 @@ def _sector_coordinates(perm, sign, parity: float) -> tuple:
 
 class LiouvillianMatrix:
     """dim^2 x dim^2 generator L on column-stacked density matrices, held as
-    its real form R = ``real_form()`` = T L T^H (``real=``; a hand-built L
-    may give the complex ``mat`` instead, else it is derived when read, and
-    no solve reads it).  Factorizations run on the ``blocks()`` of R: the
-    two exchange sectors (80 + 64 or 72 + 72 for the default 144) when the
-    atom swap, alone or times (-1)^excitations, commutes with L, else R
-    itself.  All are kept: ``bordered_inverse()`` serves the steady state
-    and the uniqueness test, and an ``Eigenblock`` per block that an
-    evolution's start has a share in serves ``solution()`` (a symmetric
-    start decomposes the even block alone); ``eigenvalues()`` runs
-    ``eigvals`` on the blocks not decomposed.
+    its real form R = ``real_form()`` = T L T^H alone (see ``_real_form``;
+    ``from_real`` and ``to_real`` map vectors between the two coordinates).
+    Factorizations run on the ``blocks()`` of R: the two exchange sectors
+    (80 + 64 or 72 + 72 for the default 144) when the atom swap, alone or
+    times (-1)^excitations, commutes with L, else R itself.  All are kept:
+    ``bordered_inverse()`` serves the steady state and the uniqueness test,
+    and an ``Eigenblock`` per block that an evolution's start has a share in
+    serves ``solution()`` (a symmetric start decomposes the even block
+    alone); ``eigenvalues()`` runs ``eigvals`` on the blocks not decomposed.
     """
 
-    def __init__(self, space, mat: np.ndarray | None = None, *,
-                 real: np.ndarray | None = None):
-        self.space, self.dim, self._mat, self._real = space, space.dim, mat, real
+    def __init__(self, space, real: np.ndarray):
+        self.space, self.dim, self._real = space, space.dim, real
         self._blocks, self._bordered, self._eigenvalues, self._eigenblocks = (
             None, None, None, {})
 
-    @property
-    def mat(self) -> np.ndarray:
-        """The complex column-stacked L; from R, L = (T^H (T^H R)^H)^H."""
-        if self._mat is None:
-            half = from_real(self._real, self.dim).conj().T
-            self._mat = _readonly(from_real(half, self.dim).conj().T)
-        return self._mat
-
     def real_form(self) -> np.ndarray:
-        """The real form (read-only); see ``_real_form``.
-
-        Raises ``NotHermiticityPreservingError`` if a hand-built ``mat``
-        misses conj(L) = P L P by more than ``HERMITICITY_TOL``, since the
-        real form would drop that part.
-        """
-        if self._real is None:
-            m = _in_hermitian_order(self._mat, self.dim)
-            dropped = _hermiticity_defect(m, self.dim)
-            if not dropped <= HERMITICITY_TOL * np.abs(m.view(float)).max():
-                raise NotHermiticityPreservingError(
-                    f"conj(L) differs from P L P by {dropped:.3e}: "
-                    f"not a Lindblad generator")
-            self._real = _real_form(m, self.dim)
+        """The real form R, as given."""
         return self._real
 
     def blocks(self) -> list:
@@ -427,16 +385,15 @@ def _generator_rows(me: MasterEquation) -> np.ndarray:
     where the H_eff terms are strided row and column slices (``i == k`` and
     ``j == l``); the rows are gathered from it, forming no Kronecker product
     and no column-stacked L."""
-    h, d = me.H.mat, me.space.dim
-    jumps = np.array([op.mat for op in me.lindblads.values()],
-                     dtype=complex).reshape(-1, d, d)
+    h, d = me.H, me.dim
+    jumps = np.array(list(me.lindblads.values()), dtype=complex).reshape(-1, d, d)
     h_eff = h - 0.5j * np.tensordot(jumps.conj(), jumps, axes=([0, 1], [0, 1]))
     flat = jumps.reshape(-1, d * d)
     # (flat^H flat)[(i, k), (j, l)] = sum_n conj(L_n[i, k]) L_n[j, l]
     gram = flat.conj().T @ flat
     gram[::d + 1] -= 1j * h_eff.reshape(-1)
     gram[:, ::d + 1] += 1j * h_eff.conj().reshape(-1, 1)
-    return gram.take(_hermitian_order(d)[2])
+    return gram.take(_hermitian_order(d)[1])
 
 
 def vectorize(me: MasterEquation) -> LiouvillianMatrix:
@@ -448,13 +405,13 @@ def vectorize(me: MasterEquation) -> LiouvillianMatrix:
     ``_generator_rows``, made once their (d^2 x d^2) product is freed.  It
     needs no Hermiticity check: ``MasterEquation`` checks that H is Hermitian.
     """
-    return LiouvillianMatrix(me.space, real=_real_form(_generator_rows(me), me.space.dim))
+    return LiouvillianMatrix(me.space, _real_form(_generator_rows(me), me.dim))
 
 
 def vectorize_sum(terms: list) -> LiouvillianMatrix:
     """sum_c w_c L_c of ``[(w_c, me_c), ...]``, summed before its real form."""
     space = terms[0][1].space
-    return LiouvillianMatrix(space, real=_real_form(
+    return LiouvillianMatrix(space, _real_form(
         sum(w * _generator_rows(me) for w, me in terms), space.dim))
 
 
@@ -483,7 +440,7 @@ def full_generator(params: SystemParams) -> LiouvillianMatrix:
     nonzero, reals = forms
     r = np.zeros(space.dim ** 4)
     r[nonzero] = np.array([c(params) for _, c, _ in TERMS]) @ reals
-    return LiouvillianMatrix(space, real=_readonly(r.reshape(space.dim ** 2, -1)))
+    return LiouvillianMatrix(space, _readonly(r.reshape(space.dim ** 2, -1)))
 
 
 @dataclass(frozen=True)
@@ -515,14 +472,6 @@ def spectral_gap(lv: LiouvillianMatrix) -> SpectrumReport:
                           sectors=sectors)
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, unit-trace, (numerically) positive state."""
-
-    space: object
-    mat: np.ndarray
-
-
 def _is_ground_basis(space) -> bool:
     return all(isinstance(lb, str) for lb in space.labels)
 
@@ -537,17 +486,16 @@ def ground_state_vectors(space) -> dict[str, np.ndarray]:
             v[space.labels.index(name)] = 1.0
             out[name] = v
         return out
-    return {name: named_state(space, name, photon=0).vec for name in names}
+    return {name: named_state(space, name, photon=0) for name in names}
 
 
-def mixed_ground_state(space) -> DensityMatrix:
+def mixed_ground_state(space) -> np.ndarray:
     """Equal classical mixture of 00, T, 11 and S (the standard start)."""
-    vectors = ground_state_vectors(space)
-    mat = sum(np.outer(v, v.conj()) for v in vectors.values()) / 4.0
-    return DensityMatrix(space, mat)
+    vectors = ground_state_vectors(space).values()
+    return sum(np.outer(v, v.conj()) for v in vectors) / 4.0
 
 
-def steady_state(lv: LiouvillianMatrix) -> DensityMatrix:
+def steady_state(lv: LiouvillianMatrix) -> np.ndarray:
     """Unique stationary state, column 0 of ``lv.bordered_inverse()[0]``
     mapped back to vec form, Hermitized and trace-normalized.
 
@@ -571,7 +519,7 @@ def steady_state(lv: LiouvillianMatrix) -> DensityMatrix:
         raise NumericalInstabilityError(
             f"steady state has negative eigenvalue {w.min():.3e}"
         )
-    return DensityMatrix(lv.space, rho)
+    return rho
 
 
 @dataclass(frozen=True)
@@ -604,8 +552,8 @@ def sample_grid(t_final: float, dt: float) -> tuple[np.ndarray, float]:
     ``n = ceil(t_final / dt)`` steps of ``h = t_final / n`` and sampled
     every ``n // 1000`` steps and at the last one.
     """
-    if dt <= 0 or t_final < 0:
-        raise ValueError(f"need dt > 0 and t_final >= 0, got {dt}, {t_final}")
+    if not (0 < dt < math.inf and 0 <= t_final < math.inf):
+        raise ValueError(f"need finite dt > 0 and t_final >= 0, got {dt}, {t_final}")
     if t_final == 0:
         return np.array([0.0]), dt
     n_steps = max(1, math.ceil(t_final / dt - 1e-12))
@@ -618,7 +566,7 @@ def sample_grid(t_final: float, dt: float) -> tuple[np.ndarray, float]:
 
 def propagate(
     me: MasterEquation | LiouvillianMatrix,
-    rho0: DensityMatrix,
+    rho0: np.ndarray,
     t_final: float,
     dt: float,
 ) -> Trajectory:
@@ -628,10 +576,12 @@ def propagate(
     leaves 1 by more than ``TRACE_TOL``.
     """
     times, h = sample_grid(t_final, dt)
-    if rho0.space != me.space:
-        raise DimensionMismatchError("initial state lives on a different space")
+    if np.shape(rho0) != (me.space.dim,) * 2:
+        raise DimensionMismatchError(
+            f"initial state of shape {np.shape(rho0)} does not fit a space "
+            f"of dim {me.space.dim}")
     if t_final == 0:
-        return Trajectory(me.space, times, rho0.mat[np.newaxis].copy(), h)
+        return Trajectory(me.space, times, rho0[np.newaxis].copy(), h)
     lv = vectorize(me) if isinstance(me, MasterEquation) else me
     states = evolve_spectral(lv, rho0, times)
     drift = float(np.abs(np.einsum("nii->n", states) - 1.0).max())
@@ -642,11 +592,9 @@ def propagate(
     return Trajectory(me.space, times, states, h)
 
 
-def fidelity(rho: DensityMatrix, psi: StateVector) -> float:
+def fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
     """<psi| rho |psi>, clamped to [0, 1]."""
-    if rho.space != psi.space:
-        raise DimensionMismatchError("state and density matrix spaces differ")
-    value = complex(psi.vec.conj() @ (rho.mat @ psi.vec))
+    value = complex(psi.conj() @ (rho @ psi))
     if abs(value.imag) > 1e-10:
         warnings.warn(
             f"fidelity has imaginary part {value.imag:.3e}", stacklevel=2
@@ -654,16 +602,16 @@ def fidelity(rho: DensityMatrix, psi: StateVector) -> float:
     return float(min(1.0, max(0.0, value.real)))
 
 
-def evolve_spectral(lv: LiouvillianMatrix, rho0: DensityMatrix, times) -> np.ndarray:
+def evolve_spectral(lv: LiouvillianMatrix, rho0: np.ndarray, times) -> np.ndarray:
     """States exp(L t) rho0 at the given times, shape (len(times), dim, dim),
     from ``lv.solution``."""
-    return unvec(lv.solution(rho0.mat)(times), lv.dim)
+    return unvec(lv.solution(rho0)(times), lv.dim)
 
 
 def time_to_convergence(
     lv: LiouvillianMatrix,
-    rho0: DensityMatrix,
-    rho_ss: DensityMatrix,
+    rho0: np.ndarray,
+    rho_ss: np.ndarray,
 ) -> float:
     """First time with trace distance to the steady state <= 0.01, to 1e-3
     relative, on a grid of 160 log-spaced times up to 30 / gap.
@@ -676,11 +624,11 @@ def time_to_convergence(
     ~15 distances, not ~166.  The evolution is set up before the gap is
     read, so the gap reuses its blocks' eigenvalues.
     """
-    solution = lv.solution(rho0.mat)
+    solution = lv.solution(rho0)
     gap = spectral_gap(lv).gap
 
     def converged(t: float) -> bool:
-        w = np.linalg.eigvalsh(unvec(solution([t])[0], lv.dim) - rho_ss.mat)
+        w = np.linalg.eigvalsh(unvec(solution([t])[0], lv.dim) - rho_ss)
         return 0.5 * np.abs(w).sum() <= CONVERGED_DISTANCE
 
     t_hi = 30.0 / gap

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import HilbertSpace, OperatorMatrix, build_space
+from .errors import DimensionMismatchError
+from .hilbert import HilbertSpace, build_space
 
 _PARAM_KEYS = (
     "g", "gamma", "kappa", "Omega", "Omega_MW", "Delta", "delta",
@@ -63,6 +64,9 @@ class SystemParams:
     n_max: int = 1
 
     def __post_init__(self):
+        for key in _PARAM_KEYS:  # NaN would pass every comparison below
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if self.g <= 0 or self.gamma <= 0 or self.kappa <= 0:
             raise ValueError("g, gamma and kappa must be positive")
         if self.Omega < 0 or self.Omega_MW < 0:
@@ -121,16 +125,16 @@ TERMS = (
 )
 
 
-def _hamiltonian(part: str, params: SystemParams, space: HilbertSpace) -> OperatorMatrix:
+def _hamiltonian(part: str, params: SystemParams, space: HilbertSpace) -> np.ndarray:
     h = np.zeros((space.dim, space.dim), dtype=complex)
     for kind, coefficient, half in TERMS:
         if kind == part:
             a = coefficient(params) * half(space)
             h += a + a.conj().T
-    return OperatorMatrix(space, h)
+    return h
 
 
-def build_Hg(params: SystemParams, space: HilbertSpace) -> OperatorMatrix:
+def build_Hg(params: SystemParams, space: HilbertSpace) -> np.ndarray:
     """Ground-manifold Hamiltonian: microwave coupling plus level-1 shifts.
 
     H_g = Omega_MW/2 sum_j (|1><0|_j + h.c.) + sum_j (beta + s_j b)|1><1|_j
@@ -139,7 +143,7 @@ def build_Hg(params: SystemParams, space: HilbertSpace) -> OperatorMatrix:
     return _hamiltonian("Hg", params, space)
 
 
-def build_He(params: SystemParams, space: HilbertSpace) -> OperatorMatrix:
+def build_He(params: SystemParams, space: HilbertSpace) -> np.ndarray:
     """Excited-manifold Hamiltonian: detunings plus the atom-cavity exchange.
 
     Per-atom couplings are g (1 + alpha) and g (1 - alpha).
@@ -147,48 +151,49 @@ def build_He(params: SystemParams, space: HilbertSpace) -> OperatorMatrix:
     return _hamiltonian("He", params, space)
 
 
-def build_V(params: SystemParams, space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatrix]:
+def build_V(params: SystemParams, space: HilbertSpace) -> tuple[np.ndarray, np.ndarray]:
     """Optical drive split into the excitation part V+ and V- = V+ adjoint.
 
     V+ = Omega/2 (|e><0|_1 + e^{i phi} |e><0|_2); phi = pi crosses the
     triplet and singlet sectors, phi = 0 stays within them.
     """
-    v_plus = OperatorMatrix(space, sum(c(params) * half(space)
-                                       for kind, c, half in TERMS if kind == "V"))
-    return v_plus, v_plus.adjoint()
+    v_plus = sum(c(params) * half(space) for kind, c, half in TERMS if kind == "V")
+    return v_plus, v_plus.conj().T
 
 
-def build_lindblads(params: SystemParams, space: HilbertSpace) -> dict[str, OperatorMatrix]:
+def build_lindblads(params: SystemParams, space: HilbertSpace) -> dict[str, np.ndarray]:
     """Cavity loss and spontaneous emission with equal gamma/2 branching."""
-    return {name: OperatorMatrix(space, math.sqrt(c(params)) * op)
+    return {name: math.sqrt(c(params)) * op
             for kind, c, jumps in TERMS if kind == "jumps"
             for name, op in jumps(space).items()}
 
 
 @dataclass(frozen=True)
 class MasterEquation:
-    """A Hamiltonian plus labeled Lindblad operators, full or effective."""
+    """A Hamiltonian plus labeled Lindblad operators, full or effective,
+    as (dim, dim) arrays on the basis of ``space`` (a ``HilbertSpace`` or
+    an effective model's ``GroundBasis``)."""
 
-    H: OperatorMatrix
-    lindblads: dict[str, OperatorMatrix]
+    space: object
+    H: np.ndarray
+    lindblads: dict[str, np.ndarray]
 
     def __post_init__(self):
-        for name, op in self.lindblads.items():
-            if op.space != self.H.space:
-                raise ValueError(f"lindblad {name!r} lives on a different space")
-        if not self.H.is_hermitian():
+        for name, op in [("H", self.H), *self.lindblads.items()]:
+            if np.shape(op) != (self.dim, self.dim):
+                raise DimensionMismatchError(
+                    f"{name} has shape {np.shape(op)}, not that of a space of "
+                    f"dim {self.dim}")
+        h = self.H
+        if not np.abs(h - h.conj().T).max() <= 1e-12 * max(np.abs(h).max(), 1.0):
             raise ValueError("Hamiltonian is not Hermitian")
 
     @property
-    def space(self):
-        return self.H.space
-
-    @property
     def dim(self) -> int:
-        return self.H.space.dim
+        return self.space.dim
 
 
-def build_hamiltonian(params: SystemParams, space: HilbertSpace) -> OperatorMatrix:
+def build_hamiltonian(params: SystemParams, space: HilbertSpace) -> np.ndarray:
     v_plus, v_minus = build_V(params, space)
     return build_Hg(params, space) + build_He(params, space) + v_plus + v_minus
 
@@ -199,20 +204,17 @@ def build_master_equation(
     """Full Lindblad model on the truncated space."""
     if space is None:
         space = make_space(params)
-    return MasterEquation(
-        H=build_hamiltonian(params, space),
-        lindblads=build_lindblads(params, space),
-    )
+    return MasterEquation(space, build_hamiltonian(params, space),
+                          build_lindblads(params, space))
 
 
 def term_equations(space: HilbertSpace) -> list[MasterEquation]:
     """Each ``TERMS`` row alone at unit coefficient, in order."""
-    zero, out = OperatorMatrix(space, np.zeros((space.dim, space.dim))), []
+    zero, out = np.zeros((space.dim, space.dim), dtype=complex), []
     for kind, _, operator in TERMS:
         if kind == "jumps":
-            ops = {k: OperatorMatrix(space, op) for k, op in operator(space).items()}
-            out.append(MasterEquation(zero, ops))
+            out.append(MasterEquation(space, zero, operator(space)))
         else:
             a = operator(space)
-            out.append(MasterEquation(OperatorMatrix(space, a + a.conj().T), {}))
+            out.append(MasterEquation(space, a + a.conj().T, {}))
     return out

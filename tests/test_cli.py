@@ -157,6 +157,14 @@ def test_single_model_commands_reject_mixture(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, field", [("--omega", "Omega"), ("--gamma", "gamma")])
+def test_steady_rejects_non_finite_rate(tmp_path, capsys, flag, field):
+    record = tmp_path / "run.json"
+    assert main(["steady", flag, "nan", "--record", str(record)]) == 2
+    assert f"{field} must be finite" in capsys.readouterr().err
+    assert not record.exists()
+
+
 def test_steady_asymmetry_costs_fidelity(tmp_path):
     records = {}
     for alpha in ("0.0", "0.1"):

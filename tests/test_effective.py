@@ -7,7 +7,6 @@ from cavsinglet import effective, liouville
 from cavsinglet.effective import (
     GROUND_LABELS,
     build_hnh,
-    closed_form_propagators,
     effective_rates,
     ground_hamiltonian_block,
     invert_hnh,
@@ -15,11 +14,15 @@ from cavsinglet.effective import (
     reduce,
     reduce_dressed,
 )
-from cavsinglet.errors import SingularPropagatorError
 from cavsinglet.hilbert import named_state
 from cavsinglet.model import SystemParams, build_master_equation
 from cavsinglet.schemes import SchemeId, preset
-from oracles import ground_projector, validate_partition
+from oracles import (
+    SingularPropagatorError,
+    closed_form_propagators,
+    ground_projector,
+    validate_partition,
+)
 
 SQ2 = math.sqrt(2.0)
 
@@ -59,7 +62,7 @@ class TestPartition:
     def test_ground_basis_order(self, s1_params):
         pm = partition(s1_params)
         assert pm.ground.labels == ("00", "T", "11", "S")
-        overlap = pm.ground.embed.conj().T @ named_state(pm.space, "S").vec
+        overlap = pm.ground.embed.conj().T @ named_state(pm.space, "S")
         assert np.allclose(overlap, [0, 0, 0, 1])
 
 
@@ -67,21 +70,22 @@ class TestNonHermitianHamiltonian:
     def test_decay_part_identity(self, s1_params):
         pm = partition(s1_params)
         hnh = build_hnh(pm)
-        decay = sum(op.adjoint().mat @ op.mat for op in pm.lindblads.values())
+        decay = sum(op.conj().T @ op for op in pm.lindblads.values())
         idx = pm.excited_idx
-        block = (pm.H0.mat - 0.5j * decay)[np.ix_(idx, idx)]
-        assert np.abs(hnh.mat[np.ix_(idx, idx)] - block).max() == 0.0
+        block = (pm.H0 - 0.5j * decay)[np.ix_(idx, idx)]
+        assert np.abs(hnh[np.ix_(idx, idx)] - block).max() == 0.0
 
     def test_dark_state_energy(self, s1_params):
-        hnh = build_hnh(partition(s1_params))
-        s1 = named_state(hnh.space, "S1")
+        pm = partition(s1_params)
+        hnh = build_hnh(pm)
+        s1 = named_state(pm.space, "S1")
         want = s1_params.Delta + s1_params.beta - 0.5j * s1_params.gamma
-        assert s1.vec.conj() @ (hnh.mat @ s1.vec) == pytest.approx(want)
+        assert s1.conj() @ (hnh @ s1) == pytest.approx(want)
 
     def test_eigenvalues_decay(self, s1_params):
         pm = partition(s1_params)
         idx = pm.excited_idx
-        block = build_hnh(pm).mat[np.ix_(idx, idx)]
+        block = build_hnh(pm)[np.ix_(idx, idx)]
         assert np.linalg.eigvals(block).imag.max() < 0.0
 
 
@@ -130,8 +134,8 @@ class TestInverse:
         hnh = build_hnh(pm)
         inv = invert_hnh(hnh, pm.excited_idx)
         idx = pm.excited_idx
-        want = np.diag(1.0 / np.diag(hnh.mat[np.ix_(idx, idx)]))
-        assert np.abs(inv.mat[np.ix_(idx, idx)] - want).max() < 1e-9
+        want = np.diag(1.0 / np.diag(hnh[np.ix_(idx, idx)]))
+        assert np.abs(inv[np.ix_(idx, idx)] - want).max() < 1e-9
 
     def test_block_entries_match_closed_forms(self, rng):
         worst = 0.0
@@ -150,7 +154,7 @@ class TestInverse:
                  1 / cd.delta_eff[0]),
             ]
             for bra, ket, want in pairs:
-                got = bra.vec.conj() @ (inv.mat @ ket.vec)
+                got = bra.conj() @ (inv @ ket)
                 worst = max(worst, abs(got - want) / abs(want))
         assert worst < 1e-10
 
@@ -166,7 +170,7 @@ class TestInverse:
             (named_state(sp, "S", 1), named_state(sp, "T0")),
         ]
         for bra, ket in cross:
-            assert abs(bra.vec.conj() @ (inv.mat @ ket.vec)) < 1e-12
+            assert abs(bra.conj() @ (inv @ ket)) < 1e-12
 
 
 class TestReduce:
@@ -199,7 +203,7 @@ class TestReduce:
         model = reduce(partition(s1_params))
         me = model.as_master_equation()
         rho = liouville.steady_state(liouville.vectorize(me))
-        fid_eff = rho.mat[3, 3].real
+        fid_eff = rho[3, 3].real
         fid_full = liouville.fidelity(s1_steady, named_state(s1_master.space, "S"))
         assert abs(fid_eff - fid_full) < 0.01
 
@@ -215,14 +219,14 @@ class TestReduceDressed:
         # L_eff = L H_NH^-1 V+ with one unshifted propagator
         pm = partition(s1_params)
         plain = reduce(pm)
-        inv = invert_hnh(build_hnh(pm), pm.excited_idx).mat
-        vp, vm = pm.V_plus.mat, pm.V_minus.mat
+        inv = invert_hnh(build_hnh(pm), pm.excited_idx)
+        vp, vm = pm.V_plus, pm.V_minus
         h_ref = pm.ground.restrict(-0.5 * vm @ (inv + inv.conj().T) @ vp) \
             + ground_hamiltonian_block(pm)
         assert plain.dressed is False and plain.ground_energies is None
         assert np.abs(plain.H_eff - h_ref).max() < 1e-13
         for name, op in pm.lindblads.items():
-            l_ref = pm.ground.restrict(op.mat @ inv @ vp)
+            l_ref = pm.ground.restrict(op @ inv @ vp)
             assert np.abs(plain.L_effs[name] - l_ref).max() < 1e-13
 
     def test_ground_energies(self, s1_params):
@@ -239,8 +243,8 @@ class TestReduceDressed:
         # <S1|(H_NH - E)^-1|S1> = (-i gamma/2 -+ sqrt(3/2) Omega_MW)^-1
         pm = partition(s1_params)
         idx = pm.excited_idx
-        hnh = build_hnh(pm).mat[np.ix_(idx, idx)]
-        s1 = named_state(pm.space, "S1").vec[idx]
+        hnh = build_hnh(pm)[np.ix_(idx, idx)]
+        s1 = named_state(pm.space, "S1")[idx]
         split = math.sqrt(1.5) * s1_params.Omega_MW
         for sign in (+1.0, -1.0):
             energy = s1_params.beta + sign * split
@@ -277,18 +281,6 @@ class TestReduceDressed:
             reduction = (params.gamma / 2) ** 2 / ((params.gamma / 2) ** 2 + shift ** 2)
             want = 2 * r["gamma_eff"] * w * reduction
             assert rate == pytest.approx(want, rel=0.08)
-
-    def test_selective_retention_variant(self, s1_params):
-        pm = partition(s1_params)
-        full = reduce_dressed(pm, retain="all")
-        dark = reduce_dressed(pm, retain="dark")
-        # at the preset the shifts matter mostly in the dark-state block, so
-        # the two retention modes stay close
-        for name in full.L_effs:
-            scale = np.abs(full.L_effs[name]).max()
-            assert np.abs(full.L_effs[name] - dark.L_effs[name]).max() < 0.1 * scale
-        with pytest.raises(ValueError):
-            reduce_dressed(pm, retain="bogus")
 
 
 class TestDressedShufflingOperators:

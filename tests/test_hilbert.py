@@ -5,15 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from cavsinglet.errors import DimensionMismatchError
-from cavsinglet.hilbert import (
-    HilbertSpace,
-    OperatorMatrix,
-    StateVector,
-    build_space,
-    excitation_count,
-    named_state,
-)
+from cavsinglet.hilbert import HilbertSpace, build_space, excitation_count, named_state
 from oracles import basis_vector
 
 # frozen basis ordering for the default space (n_max=1, <=1 excitation):
@@ -67,7 +59,7 @@ def test_singlet_amplitudes():
     expect = np.zeros(12, dtype=complex)
     expect[space.index(("0", "1", 0))] = 1 / np.sqrt(2)
     expect[space.index(("1", "0", 0))] = -1 / np.sqrt(2)
-    assert np.allclose(s.vec, expect, atol=1e-15)
+    assert np.allclose(s, expect, atol=1e-15)
 
 
 def test_named_state_orthonormality():
@@ -75,7 +67,7 @@ def test_named_state_orthonormality():
     ground = [named_state(space, n) for n in ("S", "T", "00", "11")]
     excited = [named_state(space, n) for n in ("T0", "S0", "T1", "S1")]
     for family in (ground, excited):
-        vecs = np.array([u.vec for u in family])
+        vecs = np.array(family)
         gram = vecs.conj() @ vecs.T
         assert np.abs(gram - np.eye(4)).max() < 1e-12
 
@@ -83,11 +75,11 @@ def test_named_state_orthonormality():
 def test_psi_states():
     space = build_space(1, 1)
     psi_s = named_state(space, "psiS", b=0.0, Omega_MW=0.3)
-    assert abs(np.vdot(psi_s.vec, named_state(space, "S").vec) - 1.0) < 1e-12
+    assert abs(np.vdot(psi_s, named_state(space, "S")) - 1.0) < 1e-12
     psi_s = named_state(space, "psiS", b=0.05, Omega_MW=0.3)
     psi_1 = named_state(space, "psi1", b=0.05, Omega_MW=0.3)
-    assert abs(np.vdot(psi_s.vec, psi_1.vec)) < 1e-12
-    assert abs(np.linalg.norm(psi_s.vec) - 1.0) < 1e-12
+    assert abs(np.vdot(psi_s, psi_1)) < 1e-12
+    assert abs(np.linalg.norm(psi_s) - 1.0) < 1e-12
     with pytest.raises(ValueError):
         named_state(space, "psiS")  # both weights zero
 
@@ -102,40 +94,12 @@ def test_named_state_truncation_errors():
         named_state(space, "nope")
 
 
-def test_operator_algebra_basics(rng):
-    space = build_space(1, 1)
-    a = OperatorMatrix(space, rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)))
-    assert (a @ a - a @ a).norm() < 1e-12
-    assert (a.adjoint().adjoint() - a).norm() == 0.0
-    b = 2.0 * a - a * 0.5
-    assert np.allclose(b.mat, 1.5 * a.mat)
-
-
-def test_space_mismatch_raises():
-    a = OperatorMatrix(build_space(1, 1), np.eye(12))
-    b = OperatorMatrix(build_space(1, None), np.eye(18))
-    with pytest.raises(DimensionMismatchError):
-        _ = a + b
-    with pytest.raises(DimensionMismatchError):
-        _ = a @ b
-
-
 def test_transition_product_truncated():
     # raising both atoms from |11>|0> leaves the truncated space
     space = build_space(1, 1)
     both = space.transition(1, "e", "1") @ space.transition(2, "e", "1")
     start = basis_vector(space, ("1", "1", 0))
-    assert np.abs(both @ start.vec).max() == 0.0
-
-
-def test_state_vector_norm_check():
-    space = build_space(1, 1)
-    v = np.zeros(12)
-    v[0] = 0.5
-    with pytest.raises(ValueError):
-        StateVector(space, v)
-    sv = StateVector(space, v, normalize=True)
-    assert abs(np.linalg.norm(sv.vec) - 1) < 1e-15
+    assert np.abs(both @ start).max() == 0.0
 
 
 def test_spaces_are_shared():

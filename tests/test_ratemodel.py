@@ -132,7 +132,7 @@ class TestAgainstFullModel:
         me = build_master_equation(s1_params)
         rho0 = liouville.mixed_ground_state(me.space)
         db = build_dressed_basis(s1_params.Omega_MW, s1_params.beta)
-        pops = dressed_populations(rho0.mat[np.newaxis], me.space, db)
+        pops = dressed_populations(rho0[np.newaxis], me.space, db)
         assert np.allclose(pops, 0.25, atol=1e-14)
 
 
