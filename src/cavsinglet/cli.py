@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, effective, liouville, ratemodel, schemes
-from .model import SystemParams, make_space
+from .model import make_space
 from .schemes import SchemeId, parse_scheme
 
 DEFAULT_G_MHZ = 16.0  # g / 2 pi, reference cavity
@@ -60,15 +60,6 @@ def build_components(args) -> list[schemes.Component]:
                               kappa=kappa, Omega=omega, Omega_MW=omega_mw)
 
 
-def build_params(args) -> SystemParams:
-    """Parameters of a phase-fixed scheme; a mixture raises ``ValueError``."""
-    comps = build_components(args)
-    if len(comps) > 1:
-        raise ValueError(f"{args.command} needs one model, but {args.scheme} is "
-                         f"a mixture of {' and '.join(str(c.scheme) for c in comps)}")
-    return comps[0].params
-
-
 def config_hash(config: dict) -> str:
     clean = {k: v for k, v in config.items() if not callable(v)}
     canon = json.dumps(clean, sort_keys=True)
@@ -77,11 +68,10 @@ def config_hash(config: dict) -> str:
 
 def run_record(scheme: str, comps: list[schemes.Component], outputs: list[dict],
                config: dict) -> dict:
-    """``params`` are the slowest component's, whose full gap is reported."""
     return {
         "scheme": str(scheme),
-        "components": [[c.weight, str(c.scheme)] for c in comps],
-        "params": schemes.slowest(comps).params.to_dict(),
+        "components": [{"weight": c.weight, "scheme": str(c.scheme),
+                        "params": c.params.to_dict()} for c in comps],
         "outputs": outputs,
         "provenance": {
             "version": __version__,
@@ -128,9 +118,10 @@ def microseconds(t_over_g: float, g_mhz: float) -> float:
 def cmd_steady(args) -> int:
     scheme = parse_scheme(args.scheme)
     comps = build_components(args)
-    fid, spectrum = schemes.fidelity_and_spectrum(comps)
+    model = schemes.full_model(comps)
+    fid, spectrum = schemes.mixture_fidelity(model), model.spectrum()
     gap_eff = schemes.effective_gap(comps)
-    params = schemes.slowest(comps).params
+    params = comps[0].params  # the cavity and drive, shared by the components
     C = params.cooperativity()
     fid_analytic = 1.0 - schemes.static_error(scheme, C)
     gap_analytic = schemes.gap_analytic(scheme, params)
@@ -166,7 +157,7 @@ def _sweep_point(axis: str, value: float, scheme: SchemeId, args) -> list[list]:
     point = argparse.Namespace(**vars(args) | {"scheme": scheme})
     try:
         if axis == "time":
-            opt = schemes.optimal_drive(scheme, value, build_params(point))
+            opt = schemes.optimal_drive(scheme, value, build_components(point)[0].params)
             return [[axis, value, str(scheme), "analytic", 1.0 - opt["error"],
                      opt["error"], opt["Omega_opt"], "ok"]]
         if axis == "cooperativity":
@@ -176,17 +167,16 @@ def _sweep_point(axis: str, value: float, scheme: SchemeId, args) -> list[list]:
         else:
             point.alpha = value
         comps = build_components(point)
+        model = schemes.full_model(comps)
+        fid, gap = schemes.mixture_fidelity(model), float("nan")
         if axis == "drive":
-            fid, spectrum = schemes.fidelity_and_spectrum(comps)
-            gap = spectrum.gap
+            gap = model.gap()
             analytic = [float("nan"), float("nan"),
-                        schemes.gap_analytic(scheme, schemes.slowest(comps).params)]
+                        schemes.gap_analytic(scheme, comps[0].params)]
         elif axis == "cooperativity":
-            fid, gap = schemes.mixture_fidelity(comps), float("nan")
             err = schemes.static_error(scheme, value)
             analytic = [1.0 - err, err, float("nan")]
         else:
-            fid, gap = schemes.mixture_fidelity(comps), float("nan")
             analytic = [float("nan"), schemes.analytic_asymmetry_error(scheme, value),
                         float("nan")]
         return [[axis, value, str(scheme), "full", fid, 1.0 - fid, gap, "ok"],
@@ -217,6 +207,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_table1(args) -> int:
+    for name, value in (("--g", args.g), ("--g-mhz", args.g_mhz)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     scheme_ids = [parse_scheme(s) for s in args.schemes.split(",")]
     g, gamma, kappa = args.g, schemes.DEFAULT_GAMMA_OVER_G * args.g, \
         schemes.DEFAULT_KAPPA_OVER_G * args.g
@@ -228,13 +221,12 @@ def cmd_table1(args) -> int:
     for scheme in scheme_ids:
         try:
             static = schemes.static_error(scheme, C)
-            # a static mixture converges at its slowest component's rate
-            _, fid, lv = schemes.drive_for_dynamic_error(scheme, g=g, gamma=gamma,
-                                                         kappa=kappa)
+            _, fid, model = schemes.drive_for_dynamic_error(scheme, g=g, gamma=gamma,
+                                                            kappa=kappa)
             t_conv = liouville.time_to_convergence(
-                lv, liouville.mixed_ground_state(lv.space), liouville.steady_state(lv))
+                model, liouville.mixed_ground_state(model.space), model.steady_state())
             # after time_to_convergence, so the gap reuses its eig values
-            gap = liouville.spectral_gap(lv).gap
+            gap = model.gap()
             t_us = microseconds(t_conv, args.g_mhz)
             confined = "yes" if schemes.needs_confinement(scheme) else "no"
             rows.append([str(scheme), static, fid, gap, t_us, confined])
@@ -266,27 +258,31 @@ def _initial_state(spec: str, space) -> np.ndarray:
     return np.outer(vectors[spec], vectors[spec].conj())
 
 
+# Per ``trajectory`` method but ``rate``: one phase-fixed model's generator
+GENERATORS = {
+    "full": liouville.full_generator,
+    "effective": lambda p: liouville.vectorize(
+        effective.reduce(effective.partition(p)).as_master_equation()),
+    "dressed_effective": lambda p: liouville.vectorize(
+        effective.reduce_dressed(effective.partition(p)).as_master_equation()),
+}
+
+
 def cmd_trajectory(args) -> int:
-    params = build_params(args)
+    comps = build_components(args)
     methods = [m.strip() for m in args.methods.split(",")]
     header = ["t", "method", "P_00", "P_T", "P_11", "P_S", "P_excited_total",
               "fidelity"]
     rows = []
     failed = False
-    dt = args.dt if args.dt else 0.05 / params.g
+    dt = args.dt if args.dt else 0.05 / args.g
+    times, _ = liouville.sample_grid(args.t_final, dt)
     for method in methods:
         try:
-            if method == "full":
-                me = liouville.full_generator(params)
-            elif method == "effective":
-                me = effective.reduce(effective.partition(params)).as_master_equation()
-            elif method == "dressed_effective":
-                me = effective.reduce_dressed(
-                    effective.partition(params)).as_master_equation()
-            elif method == "rate":
+            if method == "rate":
+                params = comps[0].params
                 rm = schemes.rate_model(args.scheme, params)
                 db = ratemodel.build_dressed_basis(params.Omega_MW, params.beta)
-                times, _ = liouville.sample_grid(args.t_final, dt)
                 # populations in the (00, T, 11, S) order of the ground basis
                 bare0 = np.diag(_initial_state(
                     args.rho0, effective.GroundBasis(make_space(params)))).real
@@ -297,10 +293,12 @@ def cmd_trajectory(args) -> int:
                     bare = [float(x) for x in weights.T @ pops]
                     rows.append([float(t), method, *bare, 0.0, bare[3]])
                 continue
-            else:
+            if method not in GENERATORS:
                 raise ValueError(f"unknown method {method!r}")
-            rho0 = _initial_state(args.rho0, me.space)
-            traj = liouville.propagate(me, rho0, args.t_final, dt)
+            model = liouville.Mixture([(c.weight, GENERATORS[method](c.params))
+                                       for c in comps])
+            rho0 = _initial_state(args.rho0, model.space)
+            traj = liouville.propagate(model, rho0, args.t_final, dt)
             _, data = liouville.trajectory_csv_rows(traj)
             rows.extend([t, method, *pops] for t, *pops in data)
         except Exception as exc:  # noqa: BLE001 - per-method failures isolated
@@ -317,7 +315,11 @@ def cmd_trajectory(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    params = build_params(args)
+    comps = build_components(args)
+    if len(comps) > 1:
+        raise ValueError(f"reduce needs one model, but {args.scheme} is a "
+                         f"mixture of {' and '.join(str(c.scheme) for c in comps)}")
+    params = comps[0].params
     pm = effective.partition(params)
     model = effective.reduce_dressed(pm) if args.dressed else effective.reduce(pm)
     rates = {

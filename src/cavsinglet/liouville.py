@@ -93,15 +93,15 @@ class Eigenblock:
                    np.linalg.svd(vectors, compute_uv=False))
 
 
-def spectral_solution(blocks: list, y0: np.ndarray, eigenblock):
-    """Exact solution of dy/dt = R y, y(0) = y0, for R = sum W M W^T given
-    by its ``[(W, M), ...]`` (W orthonormal, ``None`` for a lone block).
+def spectral_modes(blocks: list, y0: np.ndarray, eigenblock) -> list:
+    """Modes ``(w_b, c_b, mapped_b)`` of the exact solution of dy/dt = R y,
+    y(0) = y0, for R = sum W M W^T given by its ``[(W, M), ...]`` (W
+    orthonormal, ``None`` for a lone block).
 
     Only a block whose share W^T y0 has a nonzero entry is decomposed, by
     ``eigenblock(b)``, and solved, V_b c_b = W^T y0.  Raises
     ``NumericalInstabilityError`` if cond(V) over those blocks exceeds
-    ``MAX_EIGENVECTOR_COND``.  Returns a function of an array of times
-    giving the rows sum_b mapped_b (c_b * exp(w_b t)).
+    ``MAX_EIGENVECTOR_COND``.
     """
     used = []
     for b, (w, _) in enumerate(blocks):
@@ -115,9 +115,15 @@ def spectral_solution(blocks: list, y0: np.ndarray, eigenblock):
             f"generator is not safely diagonalizable: cond(V) = {cond:.3e} "
             f"exceeds {MAX_EIGENVECTOR_COND:.0e}"
         )
-    values = np.concatenate([e.values for e, _ in used])
-    coeff = np.concatenate([np.linalg.solve(e.vectors, share) for e, share in used])
-    vectors = np.hstack([e.mapped for e, _ in used])
+    return [(e.values, np.linalg.solve(e.vectors, share), e.mapped) for e, share in used]
+
+
+def superpose(modes: list):
+    """The function of an array of times giving the rows sum mapped (c *
+    exp(w t)) over the ``[(w, c, mapped), ...]`` of ``spectral_modes``."""
+    values = np.concatenate([w for w, _, _ in modes])
+    coeff = np.concatenate([c for _, c, _ in modes])
+    vectors = np.hstack([m for _, _, m in modes])
 
     def at(times) -> np.ndarray:
         t = np.asarray(times, dtype=float)
@@ -251,13 +257,14 @@ class LiouvillianMatrix:
     ``bordered_inverse()`` serves the steady state and the uniqueness test,
     and an ``Eigenblock`` per block that an evolution's start has a share in
     serves ``solution()`` (a symmetric start decomposes the even block
-    alone); ``eigenvalues()`` runs ``eigvals`` on the blocks not decomposed.
+    alone); ``gap()`` and ``eigenvalues()`` run ``eigvals`` on the blocks
+    they read and that are not decomposed.
     """
 
     def __init__(self, space, real: np.ndarray):
         self.space, self.dim, self._real = space, space.dim, real
         self._blocks, self._bordered, self._eigenvalues, self._eigenblocks = (
-            None, None, None, {})
+            None, None, {}, {})
 
     def real_form(self) -> np.ndarray:
         """The real form R, as given."""
@@ -319,7 +326,7 @@ class LiouvillianMatrix:
         if self._bordered is None:
             bases, bs = zip(*self.blocks())
             # row 0 swapped in and back: copying an unsplit R made solves fault
-            first, row = bs[0], bs[0][0].copy()
+            first, row, writeable = bs[0], bs[0][0].copy(), bs[0].flags.writeable
             first.flags.writeable = True
             first[0] = self._trace()
             try:
@@ -331,7 +338,7 @@ class LiouvillianMatrix:
                 pairs, rcond = None, 0.0
             finally:
                 first[0] = row
-                first.flags.writeable = False
+                first.flags.writeable = writeable
             self._bordered = pairs, float(rcond)
         pairs, rcond = self._bordered
         if not rcond >= np.finfo(float).eps:
@@ -339,20 +346,28 @@ class LiouvillianMatrix:
                 self.dim ** 2 - int(np.linalg.matrix_rank(self.real_form())))
         return pairs
 
-    def eigenvalues(self) -> np.ndarray:
-        """Per block, in block order: the ``eig`` values of a decomposed
-        block, else its ``eigvals``; kept."""
-        if self._eigenvalues is None:
+    def _values(self, b: int) -> np.ndarray:
+        """Block b's ``eig`` values if it is decomposed, else its ``eigvals``."""
+        if b not in self._eigenvalues:
             try:
-                values = np.concatenate([
-                    self._eigenblocks[b].values if b in self._eigenblocks
-                    else np.linalg.eigvals(m) for b, (_, m) in enumerate(self.blocks())
-                ]).astype(complex, copy=False)
+                values = self._eigenblocks[b].values if b in self._eigenblocks \
+                    else np.linalg.eigvals(self.blocks()[b][1]).astype(complex)
             except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
                 raise NumericalInstabilityError(
                     f"eigendecomposition failed: {exc}") from exc
-            self._eigenvalues = _readonly(values)
-        return self._eigenvalues
+            self._eigenvalues[b] = values
+        return self._eigenvalues[b]
+
+    def eigenvalues(self) -> np.ndarray:
+        """``_values`` of every block, in block order."""
+        return np.concatenate([self._values(b) for b in range(len(self.blocks()))])
+
+    def gap(self) -> float:
+        """The first block's second smallest |Re|, after the unique (by
+        ``bordered_inverse()``) stationary state's: the even sector of a
+        split R, in which every exchange-symmetric start relaxes."""
+        self.bordered_inverse()
+        return float(np.sort(np.abs(self._values(0).real))[1])
 
     def _eigenblock(self, b: int) -> Eigenblock:
         """Block b's eigenpairs, mapped back to column-stacked vectors
@@ -371,10 +386,9 @@ class LiouvillianMatrix:
         return self._eigenblocks[b]
 
     def solution(self, rho0: np.ndarray):
-        """``spectral_solution`` from the density matrix rho0 on the blocks,
-        rows in column-stacked form."""
-        return spectral_solution(self.blocks(), to_real(vec(rho0), self.dim),
-                                 self._eigenblock)
+        """exp(L t) vec(rho0), a function of an array of times: the
+        ``Mixture.solution`` of this generator alone."""
+        return Mixture([(1.0, self)]).solution(rho0)
 
 
 def _generator_rows(me: MasterEquation) -> np.ndarray:
@@ -447,7 +461,7 @@ def full_generator(params: SystemParams) -> LiouvillianMatrix:
 class SpectrumReport:
     """Liouvillian eigenvalues sorted by |Re| ascending, with the gap and,
     for a generator split by ``LiouvillianMatrix.blocks``, the gap of each
-    sector (even, odd): the stationary eigenvalue is even."""
+    sector (even, odd): the stationary eigenvalue and the gap are even."""
 
     eigenvalues: np.ndarray
     gap: float
@@ -455,21 +469,47 @@ class SpectrumReport:
 
 
 def spectral_gap(lv: LiouvillianMatrix) -> SpectrumReport:
-    """|Re| of the slowest decaying eigenvalue of the generator.
+    """The generator's ``Mixture.spectrum``."""
+    return Mixture([(1.0, lv)]).spectrum()
 
-    Uniqueness of the stationary state is checked on
-    ``lv.bordered_inverse()`` (``DegenerateSteadyStateError`` otherwise);
-    the single eigenvalue with the smallest |Re| is then the stationary one,
-    and the next gives the gap.
-    """
-    lv.bordered_inverse()
-    eigs = lv.eigenvalues()
-    even, *odd = np.split(np.abs(eigs.real),
-                          np.cumsum([len(m) for _, m in lv.blocks()])[:-1])
-    sectors = (float(np.sort(even)[1]), float(odd[0].min())) if odd else ()
-    eigs = eigs[np.argsort(np.abs(eigs.real), kind="stable")]
-    return SpectrumReport(eigenvalues=eigs, gap=float(abs(eigs[1].real)),
-                          sectors=sectors)
+
+class Mixture:
+    """A static mixture sum_c w_c rho_c, each part rho_c evolving under its
+    own generator L_c, given as ``[(w_c, L_c), ...]``: a scheme's full model,
+    one part of weight 1.0 for a phase-fixed scheme.  ``propagate`` and
+    ``time_to_convergence`` take it as they take a ``LiouvillianMatrix``."""
+
+    def __init__(self, parts: list):
+        self.parts = parts
+        self.space, self.dim = parts[0][1].space, parts[0][1].dim
+
+    def steady_state(self) -> np.ndarray:
+        """sum_c w_c ``steady_state(L_c)``, summed from the first term, so
+        that one part's -0.0 entries keep their sign."""
+        return functools.reduce(np.add, (w * steady_state(lv) for w, lv in self.parts))
+
+    def solution(self, rho0: np.ndarray):
+        """sum_c w_c exp(L_c t) vec(rho0), a function of an array of times."""
+        y0 = to_real(vec(rho0), self.dim)
+        return superpose([(values, w * c, mapped) for w, lv in self.parts
+                          for values, c, mapped in spectral_modes(
+                              lv.blocks(), y0, lv._eigenblock)])
+
+    def gap(self) -> float:
+        """The smallest of the parts' ``gap()``."""
+        return min(lv.gap() for _, lv in self.parts)
+
+    def spectrum(self) -> SpectrumReport:
+        """The parts' eigenvalues, the gap and, if every part splits, the
+        sector gaps: the odd one is the parts' smallest odd |Re| (that
+        sector holds no stationary state)."""
+        gap, eigs = self.gap(), [lv.eigenvalues() for _, lv in self.parts]
+        odd = [np.abs(e[len(lv.blocks()[0][1]):].real)
+               for e, (_, lv) in zip(eigs, self.parts)]
+        eigs = np.concatenate(eigs)
+        return SpectrumReport(
+            eigenvalues=eigs[np.argsort(np.abs(eigs.real), kind="stable")], gap=gap,
+            sectors=(gap, float(min(o.min() for o in odd))) if all(map(len, odd)) else ())
 
 
 def _is_ground_basis(space) -> bool:
@@ -553,7 +593,8 @@ def sample_grid(t_final: float, dt: float) -> tuple[np.ndarray, float]:
     every ``n // 1000`` steps and at the last one.
     """
     if not (0 < dt < math.inf and 0 <= t_final < math.inf):
-        raise ValueError(f"need finite dt > 0 and t_final >= 0, got {dt}, {t_final}")
+        raise ValueError(f"need finite t_final >= 0 and dt > 0, got t_final = "
+                         f"{t_final}, dt = {dt}")
     if t_final == 0:
         return np.array([0.0]), dt
     n_steps = max(1, math.ceil(t_final / dt - 1e-12))
@@ -565,15 +606,15 @@ def sample_grid(t_final: float, dt: float) -> tuple[np.ndarray, float]:
 
 
 def propagate(
-    me: MasterEquation | LiouvillianMatrix,
+    me: MasterEquation | LiouvillianMatrix | Mixture,
     rho0: np.ndarray,
     t_final: float,
     dt: float,
 ) -> Trajectory:
-    """Exact evolution of the master equation, or of its generator, on the
-    ``sample_grid`` by ``evolve_spectral``, so the states carry no step-size
-    error; a ``NumericalInstabilityError`` is raised if any sample's trace
-    leaves 1 by more than ``TRACE_TOL``.
+    """Exact evolution of the master equation, or of its generator or
+    mixture, on the ``sample_grid`` by ``evolve_spectral``, so the states
+    carry no step-size error; a ``NumericalInstabilityError`` is raised if
+    any sample's trace leaves 1 by more than ``TRACE_TOL``.
     """
     times, h = sample_grid(t_final, dt)
     if np.shape(rho0) != (me.space.dim,) * 2:
@@ -602,14 +643,15 @@ def fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
     return float(min(1.0, max(0.0, value.real)))
 
 
-def evolve_spectral(lv: LiouvillianMatrix, rho0: np.ndarray, times) -> np.ndarray:
+def evolve_spectral(lv: LiouvillianMatrix | Mixture, rho0: np.ndarray,
+                    times) -> np.ndarray:
     """States exp(L t) rho0 at the given times, shape (len(times), dim, dim),
     from ``lv.solution``."""
     return unvec(lv.solution(rho0)(times), lv.dim)
 
 
 def time_to_convergence(
-    lv: LiouvillianMatrix,
+    lv: LiouvillianMatrix | Mixture,
     rho0: np.ndarray,
     rho_ss: np.ndarray,
 ) -> float:
@@ -625,7 +667,7 @@ def time_to_convergence(
     read, so the gap reuses its blocks' eigenvalues.
     """
     solution = lv.solution(rho0)
-    gap = spectral_gap(lv).gap
+    gap = lv.gap()
 
     def converged(t: float) -> bool:
         w = np.linalg.eigvalsh(unvec(solution([t])[0], lv.dim) - rho_ss)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effective import GROUND_LABELS, effective_rates, simplified_dark_state_operators
-from .liouville import Eigenblock, spectral_solution
+from .liouville import Eigenblock, spectral_modes, superpose
 from .model import SystemParams
 
 DRESSED_ORDER = ("T+", "T-", "Tr", "S")
@@ -128,5 +128,5 @@ def build_rates(params: SystemParams, dressed: bool = False) -> RateMatrix:
 
 def evolve(rm: RateMatrix, p0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Populations at the given times, from the eigendecomposition."""
-    return spectral_solution([(None, rm.matrix)], p0,
-                             lambda b: Eigenblock.of(rm.matrix))(times).real
+    return superpose(spectral_modes([(None, rm.matrix)], p0,
+                                    lambda b: Eigenblock.of(rm.matrix)))(times).real

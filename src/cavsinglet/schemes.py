@@ -11,7 +11,6 @@ rules, and the confinement flag.
 
 from __future__ import annotations
 
-import contextvars
 import enum
 import functools
 import math
@@ -114,16 +113,6 @@ def combined_error_s1(params: SystemParams) -> dict[str, float]:
         "recycling": recycling,
         "total": static + dressing + recycling,
     }
-
-
-def error_vs_drive_s1(Omega: float, t: float, params: SystemParams) -> float:
-    """Preparation error after time t at drive Omega, from a completely
-    mixed ground-state start: static + dressing/recycling + residual decay."""
-    g, gamma, kappa = params.g, params.gamma, params.kappa
-    f = 3.0 * kappa / (_SQRT2 * g * g * gamma)
-    r = 12.0 * gamma
-    return 1.5 / params.cooperativity() + f * Omega ** 2 \
-        + 0.75 * math.exp(-(Omega ** 2) * t / r)
 
 
 def optimal_drive_for_time(t: float, params: SystemParams) -> dict[str, float]:
@@ -374,13 +363,6 @@ def analytic_asymmetry_error(scheme: SchemeId | str, alpha: float) -> float:
     return math.nan if rule is None else rule(alpha)
 
 
-def slowest(comps: list[Component]) -> Component:
-    """The component with the smallest analytic gap.  A static mixture
-    relaxes at its slowest component's rate, so this one sets the full gap
-    and the convergence time."""
-    return min(comps, key=lambda c: gap_analytic(c.scheme, c.params))
-
-
 # -- numeric workflows shared by the CLI and the test suite -----------------
 
 def steady_fidelity(lv: liouville.LiouvillianMatrix) -> float:
@@ -389,63 +371,27 @@ def steady_fidelity(lv: liouville.LiouvillianMatrix) -> float:
                               named_state(lv.space, "S", photon=0))
 
 
-# Where ``numeric_fidelity`` keeps the generators it solves, by params,
-# while the drive search evaluates a drive; None elsewhere.
-_KEPT: contextvars.ContextVar[dict | None] = contextvars.ContextVar("kept", default=None)
+def full_model(comps: list[Component]) -> liouville.Mixture:
+    """The scheme's full model: the ``Mixture`` of its components'
+    generators, with their weights."""
+    return liouville.Mixture([(c.weight, liouville.full_generator(c.params))
+                              for c in comps])
 
 
-def numeric_fidelity(params: SystemParams) -> float:
-    """Full-model steady-state fidelity with the singlet."""
-    lv = liouville.full_generator(params)
-    kept = _KEPT.get()
-    if kept is not None:
-        kept[params] = lv
-    return steady_fidelity(lv)
-
-
-def mixture_fidelity(comps: list[Component],
-                     fidelities: list[float] | None = None) -> float:
-    """Weighted mean fidelity of the components, as one minus the weighted
-    mean error; ``fidelities`` default to each one's ``numeric_fidelity``."""
-    if fidelities is None:
-        fidelities = [numeric_fidelity(c.params) for c in comps]
-    return 1.0 - sum(c.weight * (1.0 - f) for c, f in zip(comps, fidelities))
-
-
-def scheme_numeric_fidelity(
-    scheme: SchemeId | str,
-    g: float = 1.0,
-    gamma: float | None = None,
-    kappa: float | None = None,
-    Omega: float | None = None,
-) -> float:
-    """Steady-state fidelity of one scheme from the full model.
-
-    A mixture's is the weighted mean over its components.  For the
-    random-phase scheme that is the equal-weight mixture of the phi = 0 (T0)
-    and phi = pi (S0) configurations, not the uniform average over phi,
-    which is higher (0.8126 against 0.8032 at the reference cavity).
-    """
-    return mixture_fidelity(components(scheme, g=g, gamma=gamma, kappa=kappa,
-                                       Omega=Omega))
-
-
-def fidelity_and_spectrum(comps: list[Component]
-                          ) -> tuple[float, liouville.SpectrumReport]:
-    """Weighted steady-state fidelity and the full-model spectrum of the
-    slowest component, each component's generator built once."""
-    lvs = [liouville.full_generator(c.params) for c in comps]
-    fid = mixture_fidelity(comps, [steady_fidelity(lv) for lv in lvs])
-    return fid, liouville.spectral_gap(lvs[comps.index(slowest(comps))])
+def mixture_fidelity(model: liouville.Mixture) -> float:
+    """Weighted mean of the parts' ``steady_fidelity``, as one minus the
+    weighted mean error."""
+    return 1.0 - sum(w * (1.0 - steady_fidelity(lv)) for w, lv in model.parts)
 
 
 def effective_gap(comps: list[Component]) -> float:
-    """Gap of the weighted sum of the components' ``effective.reduce``
-    generators: the like-for-like counterpart of the analytic gap, which is
-    derived from the same effective operators."""
-    return liouville.spectral_gap(liouville.vectorize_sum([
+    """Gap of the phase-averaged generator, the weighted sum of the
+    components' ``effective.reduce`` generators: the like-for-like
+    counterpart of the analytic gap, the weighted mean of the components'
+    closed forms derived from the same effective operators."""
+    return liouville.vectorize_sum([
         (c.weight, effective.reduce(effective.partition(c.params)).as_master_equation())
-        for c in comps])).gap
+        for c in comps]).gap()
 
 
 def drive_for_dynamic_error(
@@ -453,12 +399,11 @@ def drive_for_dynamic_error(
     g: float = 1.0,
     gamma: float | None = None,
     kappa: float | None = None,
-) -> tuple[float, float, liouville.LiouvillianMatrix]:
+) -> tuple[float, float, liouville.Mixture]:
     """Drive strength at which the dynamic (driving-induced) error reaches
     ``DYNAMIC_ERROR``, the weak-drive (Omega = gamma/10) fidelity that the
-    dynamic error is measured from, and the generator of the slowest
-    component at that drive (which sets a mixture's convergence), the one
-    the search solved there unless ``numeric_fidelity`` is replaced.
+    dynamic error is measured from, and the scheme's ``full_model`` at that
+    drive, the last one the search solved.
 
     S1 inverts its closed form.  Otherwise a secant on x = log Omega steps
     along the log-log slope through the two latest errors (2, the Omega^2
@@ -473,26 +418,20 @@ def drive_for_dynamic_error(
     kappa = DEFAULT_KAPPA_OVER_G * g if kappa is None else kappa
     C = g * g / (gamma * kappa)
 
-    kept: dict = {}  # the generators of the latest evaluation
+    model = None  # the model of the latest evaluation
 
     def fidelity(omega: float) -> float:
-        kept.clear()
-        token = _KEPT.set(kept)
-        try:
-            return scheme_numeric_fidelity(scheme, g=g, gamma=gamma, kappa=kappa,
-                                           Omega=omega)
-        finally:
-            _KEPT.reset(token)
-
-    def found(omega: float) -> tuple:
-        params = slowest(components(scheme, g=g, gamma=gamma, kappa=kappa,
-                                    Omega=omega)).params
-        return omega, weak, kept.get(params) or liouville.full_generator(params)
+        nonlocal model
+        model = full_model(components(scheme, g=g, gamma=gamma, kappa=kappa,
+                                      Omega=omega))
+        return mixture_fidelity(model)
 
     weak = fidelity(gamma / 10.0)
     if scheme is SchemeId.S1:
         # dynamic error (3/2C) sqrt(2) (Omega/gamma)^2 at the optimal microwave
-        return found(gamma * math.sqrt(DYNAMIC_ERROR * 2.0 * C / (3.0 * _SQRT2)))
+        omega = gamma * math.sqrt(DYNAMIC_ERROR * 2.0 * C / (3.0 * _SQRT2))
+        fidelity(omega)  # builds and solves the model there
+        return omega, weak, model
 
     def dynamic_error(x: float) -> float:
         return 1.0 - fidelity(math.exp(x)) - (1.0 - weak)
@@ -532,4 +471,4 @@ def drive_for_dynamic_error(
             else:
                 hi = step
             slow = slow + 1 if secant and hi - lo > 0.5 * width else 0
-        return found(math.exp(last[-1][0]))  # its model is the last one solved
+        return math.exp(last[-1][0]), weak, model

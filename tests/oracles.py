@@ -1,6 +1,7 @@
 """Oracles and validators that only the tests use: the master equation's
 right-hand side evaluated directly, the complex form of a generator, the
-closed-form propagator entries of the excited sector, basis vectors, and
+closed-form propagator entries of the excited sector, S1's closed-form
+error against the drive, a scheme's full-model fidelity, basis vectors, and
 the structural checks of density matrices, partitioned models and rate
 matrices."""
 
@@ -15,6 +16,7 @@ from cavsinglet.hilbert import HilbertSpace, Label
 from cavsinglet.liouville import LiouvillianMatrix, from_real
 from cavsinglet.model import MasterEquation, SystemParams
 from cavsinglet.ratemodel import RateMatrix
+from cavsinglet.schemes import components, full_model, mixture_fidelity
 
 
 def apply_generator(me: MasterEquation, rho: np.ndarray) -> np.ndarray:
@@ -86,6 +88,21 @@ def closed_form_propagators(params: SystemParams) -> ComplexDetunings:
     g_eff = {n: math.sqrt(n) * g - delta_t[n] * Delta_prev[n] / (math.sqrt(n) * g)
              for n in (1, 2)}
     return ComplexDetunings(Delta_t, delta_t, Delta_eff, delta_eff, g_eff, D)
+
+
+def error_vs_drive_s1(Omega: float, t: float, params: SystemParams) -> float:
+    """Preparation error after time t at drive Omega, from a completely
+    mixed ground-state start: static + dressing/recycling + residual decay."""
+    g, gamma, kappa = params.g, params.gamma, params.kappa
+    f = 3.0 * kappa / (math.sqrt(2.0) * g * g * gamma)
+    r = 12.0 * gamma
+    return 1.5 / params.cooperativity() + f * Omega ** 2 \
+        + 0.75 * math.exp(-(Omega ** 2) * t / r)
+
+
+def full_fidelity(scheme, **preset_args) -> float:
+    """The steady-state singlet fidelity of the scheme's full model."""
+    return mixture_fidelity(full_model(components(scheme, **preset_args)))
 
 
 def basis_vector(space: HilbertSpace, label: Label) -> np.ndarray:

@@ -19,9 +19,8 @@ from cavsinglet.schemes import (
     cavity_rates_for_cooperativity,
     optimal_drive_for_time,
     preset,
-    scheme_numeric_fidelity,
 )
-from oracles import closed_form_propagators, complex_form
+from oracles import closed_form_propagators, complex_form, full_fidelity
 
 SQ2 = math.sqrt(2.0)
 C_REF = 256.0 / 15.0
@@ -65,7 +64,7 @@ def test_criterion_1_table_fidelities():
     }
     got = {}
     for scheme, want in targets.items():
-        fid = scheme_numeric_fidelity(scheme)
+        fid = full_fidelity(scheme)
         got[scheme] = fid
         assert abs(fid - want) <= 0.015, (scheme, fid, want)
     summary = ", ".join(f"{s}={v:.3f}" for s, v in got.items())
@@ -76,7 +75,7 @@ def _cooperativity_sweep_errors(scheme, cs):
     errs = []
     for c in cs:
         gamma, kappa = cavity_rates_for_cooperativity(float(c))
-        errs.append(1.0 - scheme_numeric_fidelity(
+        errs.append(1.0 - full_fidelity(
             scheme, gamma=gamma, kappa=kappa, Omega=gamma / 10.0
         ))
     return np.array(errs)
@@ -135,8 +134,8 @@ def test_criterion_3_spectral_gap(s1_params, s1_liouvillian):
     devs = []
     for frac in (0.1, 0.2, 0.3, 0.4, 0.5):
         p = preset(SchemeId.S1, Omega=frac * 0.375)
-        num = schemes.fidelity_and_spectrum(schemes.components(
-            SchemeId.S1, Omega=frac * 0.375))[1].gap
+        num = schemes.full_model(schemes.components(
+            SchemeId.S1, Omega=frac * 0.375)).gap()
         ana = schemes.gap_analytic(SchemeId.S1, p)
         devs.append(rel_dev(num, ana))
     assert max(devs) <= 0.15
@@ -149,7 +148,7 @@ def test_criterion_4_combined_error():
     worst = 0.0
     for frac in (0.1, 0.2, 0.3, 0.4, 0.5):
         p = preset(SchemeId.S1, Omega=frac * 0.375)
-        err = 1.0 - schemes.numeric_fidelity(p)
+        err = 1.0 - schemes.steady_fidelity(liouville.full_generator(p))
         formula = (1.5 / C_REF) * (1.0 + SQ2 * frac ** 2)
         worst = max(worst, abs(err - formula))
         assert abs(err - formula) <= 0.02, (frac, err, formula)
@@ -276,16 +275,18 @@ def test_criterion_8_asymmetry():
     so the fit runs at C = 300; see the decisions ledger.
     """
     p_ref = preset(SchemeId.S1)
-    f0 = schemes.numeric_fidelity(p_ref)
-    loss_ref = f0 - schemes.numeric_fidelity(p_ref.replace(alpha=0.1))
+    f0 = schemes.steady_fidelity(liouville.full_generator(p_ref))
+    loss_ref = f0 - schemes.steady_fidelity(
+        liouville.full_generator(p_ref.replace(alpha=0.1)))
     assert 0.015 <= loss_ref <= 0.035
 
     gamma, kappa = cavity_rates_for_cooperativity(300.0)
     p = preset(SchemeId.S1, gamma=gamma, kappa=kappa)
-    f0 = schemes.numeric_fidelity(p)
+    f0 = schemes.steady_fidelity(liouville.full_generator(p))
     alphas = np.array([0.05, 0.075, 0.1, 0.125, 0.15])
     losses = np.array([
-        f0 - schemes.numeric_fidelity(p.replace(alpha=float(a))) for a in alphas
+        f0 - schemes.steady_fidelity(liouville.full_generator(p.replace(alpha=float(a))))
+        for a in alphas
     ])
     coefficient = float(np.sum(losses * alphas ** 2) / np.sum(alphas ** 4))
     assert 2.5 <= coefficient <= 3.5

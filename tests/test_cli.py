@@ -50,7 +50,9 @@ def test_steady_s1(tmp_path, capsys):
     assert {o["method"] for o in data["outputs"]} == {
         "full", "effective", "analytic", "full/even", "full/odd"}
     assert "config_hash" in data["provenance"]
-    assert data["params"]["phi"] == pytest.approx(math.pi)
+    [comp] = data["components"]
+    assert (comp["weight"], comp["scheme"]) == (1.0, "S1")
+    assert comp["params"]["phi"] == pytest.approx(math.pi)
 
 
 def test_steady_records_sector_gaps_when_the_model_splits(tmp_path):
@@ -60,10 +62,11 @@ def test_steady_records_sector_gaps_when_the_model_splits(tmp_path):
         outputs = json.loads(record.read_text())["outputs"]
         return {o["method"]: o["value"] for o in outputs if o["name"] == "gap"}
 
-    # S0's full gap is an odd-sector mode; the even sector holds the
-    # stationary state and is within 1% of the analytic gap
+    # the full gap is the even sector's, which holds the stationary state
+    # and every symmetric start, within 1% of the analytic gap; S0's odd
+    # sector decays more slowly
     s0 = gaps("--scheme", "S0", "--C", "1000")
-    assert s0["full"] == s0["full/odd"] < s0["full/even"]
+    assert s0["full"] == s0["full/even"] > s0["full/odd"]
     assert s0["full/even"] == pytest.approx(s0["analytic"], rel=0.01)
     for flags in (["--scheme", "T0", "--alpha", "0.05"], ["--scheme", "WS"]):
         assert set(gaps(*flags)) == {"full", "effective", "analytic"}
@@ -101,11 +104,12 @@ def steady_values(tmp_path, scheme, *args):
 
 
 def test_steady_mixture_on_the_common_path(tmp_path):
-    # the full gap is the slowest component's (T0), and the effective gap,
-    # from the weighted effective generators, tracks the analytic one
+    # the full gap is the smallest of the components' (T0's), and the
+    # effective gap, from the weighted effective generators, tracks the
+    # analytic one
     mix = steady_values(tmp_path, "T0S0_mix")
-    t0 = steady_values(tmp_path, "T0")
-    assert mix["gap", "full"] == t0["gap", "full"]
+    t0, s0 = steady_values(tmp_path, "T0"), steady_values(tmp_path, "S0")
+    assert mix["gap", "full"] == t0["gap", "full"] < s0["gap", "full"]
     assert mix["fidelity", "full"] == pytest.approx(0.797, abs=0.015)
     for c in ("100", "1000"):
         mix = steady_values(tmp_path, "T0S0_mix", "--C", c)
@@ -146,23 +150,44 @@ def test_sweep_drive_mixture_gap(tmp_path):
         assert gaps[value, "T0S0_mix"] == gaps[value, "T0"]
 
 
-@pytest.mark.parametrize("command", [
-    ["trajectory", "--t-final", "1"], ["reduce"]])
-def test_single_model_commands_reject_mixture(tmp_path, capsys, command):
+def test_reduce_rejects_mixture(tmp_path, capsys):
+    # reduce writes one effective model
     out = tmp_path / "out"
-    code = main(command + ["--scheme", "T0S0_mix", "--out", str(out)])
-    assert code != 0
+    assert main(["reduce", "--scheme", "T0S0_mix", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "T0" in err and "S0" in err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, field", [("--omega", "Omega"), ("--gamma", "gamma")])
-def test_steady_rejects_non_finite_rate(tmp_path, capsys, flag, field):
-    record = tmp_path / "run.json"
-    assert main(["steady", flag, "nan", "--record", str(record)]) == 2
-    assert f"{field} must be finite" in capsys.readouterr().err
-    assert not record.exists()
+def test_trajectory_mixture_effective_tracks_full(tmp_path):
+    # criterion 7 on the mixture's own evolution, each component's model
+    # evolved and weighted
+    out = tmp_path / "traj.csv"
+    assert main(["trajectory", "--scheme", "T0S0_mix", "--t-final", "4000",
+                 "--methods", "full,effective", "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    p_s = {m: np.array([float(r[header.index("P_S")]) for r in rows if r[1] == m])
+           for m in ("full", "effective")}
+    assert len(p_s["full"]) == len(p_s["effective"]) > 1000
+    assert np.abs(p_s["effective"] - p_s["full"]).max() <= 0.02
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["steady", "--omega", "nan", "--record"], "Omega must be finite"),
+    (["steady", "--gamma", "nan", "--record"], "gamma must be finite"),
+    (["trajectory", "--t-final", "nan", "--out"], "got t_final = nan"),
+    (["trajectory", "--t-final", "inf", "--methods", "full,rate", "--out"],
+     "got t_final = inf"),
+    (["table1", "--g", "nan", "--out"], "--g must be finite and positive, got nan"),
+    (["table1", "--g", "0", "--out"], "--g must be finite and positive, got 0.0"),
+    (["--g-mhz", "nan", "table1", "--out"], "--g-mhz must be finite and positive"),
+])
+def test_bad_command_argument_exits_2_naming_it(tmp_path, capsys, argv, message):
+    # checked before any scheme or method runs: no output is written
+    out = tmp_path / "out"
+    assert main(argv + [str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_steady_asymmetry_costs_fidelity(tmp_path):
@@ -368,19 +393,25 @@ def test_table1_s1_row(tmp_path):
 
 def test_table1_solves_each_model_once(tmp_path, monkeypatch):
     # the drive search returns the weak-drive fidelity it measures from and
-    # the generator it built and solved at the drive it found
-    solve, build = schemes.numeric_fidelity, liouville.full_generator
+    # the model it built and solved at the drive it found
+    solve, build = liouville.steady_state, liouville.full_generator
     for scheme, solves in (("T0", 6), ("T0S0_mix", None)):
-        solved, built = [], []
-        monkeypatch.setattr(schemes, "numeric_fidelity",
-                            lambda params: solved.append(params) or solve(params))
-        monkeypatch.setattr(liouville, "full_generator",
-                            lambda params: built.append(params) or build(params))
+        solved, built = set(), []
+
+        def full_generator(params):
+            built.append((params, build(params)))
+            return built[-1][1]
+
+        monkeypatch.setattr(liouville, "steady_state",
+                            lambda lv: solved.add(id(lv)) or solve(lv))
+        monkeypatch.setattr(liouville, "full_generator", full_generator)
         out = str(tmp_path / "t.csv")
         assert main(["table1", "--schemes", scheme, "--out", out]) == 0
         monkeypatch.undo()
-        assert len(solved) == len(set(solved)) == len(built)
-        assert solves is None or len(solved) == solves
+        params, lvs = zip(*built)
+        assert len(set(params)) == len(params)  # no model built twice
+        assert solved == {id(lv) for lv in lvs}  # and every one solved
+        assert solves is None or len(lvs) == solves
 
 
 def test_parser_built_once_dispatches_to_module_commands(monkeypatch):

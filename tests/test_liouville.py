@@ -13,8 +13,10 @@ from cavsinglet.errors import (
 )
 from cavsinglet.hilbert import build_space, excitation_count, named_state
 from cavsinglet.liouville import (
+    CONVERGED_DISTANCE,
     TRACE_TOL,
     LiouvillianMatrix,
+    Mixture,
     _exchange_sectors,
     _hermitian_order,
     _real_form,
@@ -27,7 +29,9 @@ from cavsinglet.liouville import (
     propagate,
     sample_grid,
     spectral_gap,
+    spectral_modes,
     steady_state,
+    superpose,
     time_to_convergence,
     to_real,
     trajectory_csv_rows,
@@ -379,7 +383,7 @@ class TestExchangeSectors:
         for x, y in ((lv.eigenvalues(), ref), (ref, lv.eigenvalues())):
             assert np.abs(x[:, None] - y[None, :]).min(axis=1).max() <= 1e-11 * norm_l
         report = spectral_gap(lv)
-        assert min(report.sectors) == report.gap
+        assert report.sectors[0] == report.gap
         w, inv = lv.bordered_inverse()[0]
         split = from_real(w @ inv[:, 0], lv.dim)
         assert np.abs(split - one_block_steady_vector(lv)).max() <= 1e-12
@@ -394,6 +398,20 @@ class TestSteadyState:
         with pytest.raises(DegenerateSteadyStateError) as err:
             steady_state(lv)
         assert err.value.steady_dim == 16
+
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_bordered_inverse_keeps_the_flag_of_an_unsplit_r(self, s1_master, writeable):
+        # an unsplit R is its own first block, whose row 0 the solve swaps
+        # out and back
+        d = s1_master.dim
+        r = np.diag(-1.0 - np.arange(d * d, dtype=float))
+        r.flags.writeable = writeable
+        lv = LiouvillianMatrix(s1_master.space, r)
+        [(w, block)] = lv.blocks()
+        assert w is None and block is r
+        lv.bordered_inverse()
+        assert r.flags.writeable is writeable
+        assert np.array_equal(r, np.diag(-1.0 - np.arange(d * d, dtype=float)))
 
     def test_s1_fidelity_reference_value(self, s1_steady, s1_master):
         fid = fidelity(s1_steady, named_state(s1_master.space, "S"))
@@ -463,8 +481,8 @@ class TestSpectrum:
         assert abs(-slope - gap) / gap < 0.2
 
     def test_gap_reuses_an_existing_eigensystem(self, monkeypatch):
-        # the block an evolution decomposed gives its eig values; eigvals
-        # runs on the other one alone
+        # the block an evolution decomposed gives its eig values; the gap
+        # reads that block alone, and eigvals runs on the other one alone
         for scheme in (SchemeId.S1, SchemeId.T0):
             lv = vectorize(build_master_equation(preset(scheme)))
             even, odd = (m for _, m in lv.blocks())
@@ -472,9 +490,12 @@ class TestSpectrum:
             seen, eigvals = [], np.linalg.eigvals
             monkeypatch.setattr(np.linalg, "eigvals",
                                 lambda m: seen.append(m) or eigvals(m))
+            gap = lv.gap()
+            assert seen == []
             values = lv.eigenvalues()
             monkeypatch.undo()
             assert len(seen) == 1 and seen[0] is odd
+            assert gap == sorted(abs(values[:len(even)].real))[1]
             ref = np.linalg.eig(even)[0]
             ref[np.argmin(abs(ref))] = 0.0  # the stationary one, made exact
             assert np.array_equal(values[:len(even)], ref)
@@ -657,27 +678,28 @@ class TestSpectralEvolution:
         assert d_before >= 0.0099
 
     @pytest.mark.parametrize("scheme", [SchemeId.S1, SchemeId.S0, SchemeId.T1,
-                                        SchemeId.T0, SchemeId.WS])
+                                        SchemeId.T0, SchemeId.WS, SchemeId.MIX])
     def test_time_to_convergence_matches_per_sample_loop(self, scheme, monkeypatch):
         # the bisection over the grid must give the same crossing, bit for
         # bit, as a scan of one trace distance per grid sample (the table1
-        # CSV depends on it), from at most 20 samples
+        # CSV depends on it), from at most 20 samples; a mixture's distance
+        # is its own state's
         for C in (None, 10.0, 1000.0):  # None: Omega = 0.1 g, the reference cavity
             if C is None:
-                params = preset(scheme, Omega=0.1)
+                comps = components(scheme, Omega=0.1)
             else:
                 gamma, kappa = cavity_rates_for_cooperativity(C)
-                params = preset(scheme, gamma=gamma, kappa=kappa)
-            me = build_master_equation(params)
-            lv, ref_lv = vectorize(me), vectorize(me)
-            rho0, rho_ss = mixed_ground_state(me.space), steady_state(lv)
+                comps = components(scheme, gamma=gamma, kappa=kappa)
+            lv, ref_lv = (Mixture([(c.weight, vectorize(build_master_equation(c.params)))
+                                   for c in comps]) for _ in range(2))
+            rho0, rho_ss = mixed_ground_state(lv.space), lv.steady_state()
 
             def distances(times):
                 return [trace_distance(s, rho_ss)
                         for s in evolve_spectral(ref_lv, rho0, times)]
 
             distances([0.0])  # as in time_to_convergence, the gap reuses eig values
-            t_hi = 30.0 / spectral_gap(ref_lv).gap
+            t_hi = 30.0 / ref_lv.gap()
             grid = np.geomspace(t_hi * 1e-4, t_hi, 160)
             i = next(i for i, d in enumerate(distances(grid)) if d <= 0.01)
             lo, hi = (0.0 if i == 0 else grid[i - 1]), grid[i]
@@ -761,3 +783,62 @@ class TestEvenSectorEvolution:
             assert np.abs(np.einsum("nii->n", states) - 1.0).max() <= TRACE_TOL
             herm = 0.5 * (states + states.conj().swapaxes(1, 2))
             assert np.linalg.eigvalsh(herm).min() >= -1e-9
+
+
+def signed_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """``np.array_equal`` that also tells 0.0 from -0.0."""
+    return np.array_equal(a, b) and all(
+        np.array_equal(np.signbit(x), np.signbit(y))
+        for x, y in ((a.real, b.real), (a.imag, b.imag)))
+
+
+class TestMixture:
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(
+        first=st.sampled_from(["S1", "S0", "T1", "T0", "WS"]),
+        second=st.sampled_from(["S1", "S0", "T1", "T0", "WS"]),
+        weight=st.floats(0.01, 0.99),
+        log10_c=st.floats(1.0, 3.0),
+        omega_over_gamma=st.floats(0.05, 0.5),
+        start=st.sampled_from(["mixed", "00", "T", "11", "S"]),
+    )
+    @example(first="T0", second="S0", weight=0.5, log10_c=3.0, omega_over_gamma=0.05,
+             start="mixed")
+    @example(first="WS", second="S1", weight=0.3, log10_c=3.0, omega_over_gamma=0.05,
+             start="S")
+    def test_weighted_sum_of_its_parts(self, first, second, weight, log10_c,
+                                       omega_over_gamma, start):
+        gamma, kappa = cavity_rates_for_cooperativity(10.0 ** log10_c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # regime warnings from preset
+            parts = [(w, full_generator(preset(s, gamma=gamma, kappa=kappa,
+                                               Omega=omega_over_gamma * gamma)))
+                     for w, s in ((weight, first), (1.0 - weight, second))]
+        model = Mixture(parts)
+        if start == "mixed":
+            rho0 = mixed_ground_state(model.space)
+        else:
+            v = ground_state_vectors(model.space)[start]
+            rho0 = np.outer(v, v.conj())
+        t_hi = 30.0 / model.gap()
+        times = np.array([0.0, 1.0, 1e-2 * t_hi, t_hi])
+        states = evolve_spectral(model, rho0, times)
+        ref = parts[0][0] * evolve_spectral(parts[0][1], rho0, times)
+        ref += parts[1][0] * evolve_spectral(parts[1][1], rho0, times)
+        assert np.abs(states - ref).max() <= 1e-12
+        rho_ss = model.steady_state()
+        assert trace_distance(states[-1], rho_ss) <= CONVERGED_DISTANCE
+        assert abs(np.trace(states[-1]) - 1.0) <= TRACE_TOL
+        assert abs(np.trace(rho_ss) - 1.0) <= 1e-12
+        # the spectrum is the parts' together, its sector gaps their minima
+        report, reports = model.spectrum(), [spectral_gap(lv) for _, lv in parts]
+        assert np.array_equal(np.sort_complex(report.eigenvalues), np.sort_complex(
+            np.concatenate([r.eigenvalues for r in reports])))
+        assert report.gap == min(r.gap for r in reports)
+        assert report.sectors == tuple(map(min, zip(*(r.sectors for r in reports))))
+        # one part of weight 1 is that part, bit for bit
+        lv = parts[0][1]
+        one = Mixture([(1.0, lv)])
+        modes = spectral_modes(lv.blocks(), to_real(vec(rho0), lv.dim), lv._eigenblock)
+        assert signed_equal(one.solution(rho0)(times), superpose(modes)(times))
+        assert signed_equal(one.steady_state(), steady_state(lv))

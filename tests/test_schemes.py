@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cavsinglet import schemes
+from cavsinglet import liouville, schemes
 from cavsinglet.errors import NoValidDriveError
 from cavsinglet.liouville import full_generator
 from cavsinglet.schemes import (
@@ -16,28 +16,26 @@ from cavsinglet.schemes import (
     combined_error_s1,
     components,
     drive_for_dynamic_error,
-    error_vs_drive_s1,
-    fidelity_and_spectrum,
+    full_model,
     gap_analytic,
     gap_s1_exact,
     needs_confinement,
-    numeric_fidelity,
     optimal_drive_for_time,
     parse_scheme,
     preset,
-    scheme_numeric_fidelity,
     static_error,
     steady_fidelity,
     ws_analytics,
     ws_optimal_b,
 )
+from oracles import error_vs_drive_s1, full_fidelity
 
 C_REF = 256.0 / 15.0
 SQ2 = math.sqrt(2.0)
 
 
 def full_gap(scheme, **preset_args):
-    return fidelity_and_spectrum(components(scheme, **preset_args))[1].gap
+    return full_model(components(scheme, **preset_args)).gap()
 
 
 class TestPresets:
@@ -208,7 +206,7 @@ class TestCombinedError:
 
     def test_full_liouvillian_agreement(self):
         p = preset("S1", Omega=0.375 / 2)
-        err = 1.0 - numeric_fidelity(p)
+        err = 1.0 - steady_fidelity(full_generator(p))
         formula = (1.5 / C_REF) * (1 + SQ2 * (p.Omega / p.gamma) ** 2)
         assert abs(err - formula) < 0.02
 
@@ -311,11 +309,11 @@ class TestMixture:
         # the mixture fidelity is the endpoint mean, not the uniform average
         # over the relative phase, which is higher and would miss the 0.797
         # benchmark by more than its 0.015 tolerance
-        f_t0, f_s0 = scheme_numeric_fidelity("T0"), scheme_numeric_fidelity("S0")
-        f_mix = scheme_numeric_fidelity("mix")
+        f_t0, f_s0 = full_fidelity("T0"), full_fidelity("S0")
+        f_mix = full_fidelity("mix")
         assert f_mix == pytest.approx(0.5 * (f_t0 + f_s0), abs=2e-16)
         base = preset("T0")
-        uniform = np.mean([numeric_fidelity(base.replace(phi=phi))
+        uniform = np.mean([steady_fidelity(full_generator(base.replace(phi=phi)))
                            for phi in np.linspace(0.0, 2 * math.pi, 16, endpoint=False)])
         assert uniform == pytest.approx(0.8126, abs=1e-3)
         assert abs(f_mix - 0.797) <= 0.015 < abs(uniform - 0.797)
@@ -340,7 +338,7 @@ class TestNumericBenchmarks:
         for C in (30.0, 300.0):
             gamma, kappa = cavity_rates_for_cooperativity(C)
             for scheme, pref in prefactors.items():
-                err = 1.0 - scheme_numeric_fidelity(
+                err = 1.0 - full_fidelity(
                     scheme, gamma=gamma, kappa=kappa, Omega=gamma / 10
                 )
                 assert abs(err * C / pref - 1.0) < 0.20, (scheme, C)
@@ -351,24 +349,27 @@ class TestNumericBenchmarks:
         for C in (C_REF, 100.0):
             for other in others:
                 assert static_error("S1", C) < static_error(other, C)
-        fid_s1 = scheme_numeric_fidelity("S1")
+        fid_s1 = full_fidelity("S1")
         for other in others:
-            assert fid_s1 > scheme_numeric_fidelity(other), other
+            assert fid_s1 > full_fidelity(other), other
 
     def test_drive_for_two_percent_dynamic_error(self):
-        omega, fid_weak, lv = drive_for_dynamic_error("S1")
-        assert fid_weak == scheme_numeric_fidelity("S1")
+        omega, fid_weak, model = drive_for_dynamic_error("S1")
+        assert fid_weak == full_fidelity("S1")
         p = preset("S1", Omega=omega)
+        [(weight, lv)] = model.parts
+        assert weight == 1.0
         assert np.array_equal(lv.real_form(), full_generator(p).real_form())
         out = combined_error_s1(p)
         assert out["total"] - out["static"] == pytest.approx(0.02, rel=1e-6)
         # search path on a numeric scheme, measured from the weak-drive
         # fidelity it returns
-        omega_t0, fid_weak, lv = drive_for_dynamic_error("T0")
-        assert fid_weak == scheme_numeric_fidelity("T0")
-        # the generator returned is the model at the drive found
-        assert steady_fidelity(lv) == scheme_numeric_fidelity("T0", Omega=omega_t0)
-        err = 1.0 - scheme_numeric_fidelity("T0", Omega=omega_t0)
+        omega_t0, fid_weak, model = drive_for_dynamic_error("T0")
+        assert fid_weak == full_fidelity("T0")
+        # the model returned is the one at the drive found
+        [(_, lv)] = model.parts
+        assert steady_fidelity(lv) == full_fidelity("T0", Omega=omega_t0)
+        err = 1.0 - full_fidelity("T0", Omega=omega_t0)
         assert err - (1.0 - fid_weak) == pytest.approx(0.02, rel=1e-3)
 
     @pytest.mark.parametrize("scheme", ["S1", "S0", "T1", "T0", "WS"])
@@ -378,11 +379,12 @@ class TestNumericBenchmarks:
         # complex d^4 arrays at once (1,268 KiB) made every solve fault its
         # pages back in after the allocator trimmed them
         params = preset(scheme)
-        numeric_fidelity(params)  # warm-up: cached spaces, sectors and indices
+        # warm-up: cached spaces, sectors and indices
+        steady_fidelity(full_generator(params))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            numeric_fidelity(params)
+            steady_fidelity(full_generator(params))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -394,7 +396,7 @@ def bisected_drive(scheme, gamma, kappa, weak):
     on [gamma/10, gamma 1.5^k], k the fewest that bracket 2%, down to a 1e-5
     relative bracket."""
     def error(omega):
-        return weak - scheme_numeric_fidelity(scheme, gamma=gamma, kappa=kappa,
+        return weak - full_fidelity(scheme, gamma=gamma, kappa=kappa,
                                               Omega=omega)
 
     lo, hi = gamma / 10.0, gamma
@@ -412,14 +414,14 @@ class TestDriveSearch:
     @pytest.mark.parametrize("scheme", ["S0", "T1", "T0", "T0S0_mix", "WS"])
     def test_hits_the_target_and_matches_bisection(self, scheme, C, monkeypatch):
         gamma, kappa = cavity_rates_for_cooperativity(C)
-        solve, solved = schemes.numeric_fidelity, []
-        monkeypatch.setattr(schemes, "numeric_fidelity",
-                            lambda params: solved.append(params) or solve(params))
+        build, solved = liouville.full_generator, []
+        monkeypatch.setattr(liouville, "full_generator",
+                            lambda params: solved.append(params) or build(params))
         omega, weak, _ = drive_for_dynamic_error(scheme, gamma=gamma, kappa=kappa)
         # counting the weak drive
         assert len(solved) <= 8 * len(components(scheme))
         monkeypatch.undo()
-        err = weak - scheme_numeric_fidelity(scheme, gamma=gamma, kappa=kappa,
+        err = weak - full_fidelity(scheme, gamma=gamma, kappa=kappa,
                                              Omega=omega)
         assert err == pytest.approx(0.02, rel=1e-3)
         assert omega == pytest.approx(bisected_drive(scheme, gamma, kappa, weak),
@@ -428,12 +430,14 @@ class TestDriveSearch:
     def test_other_warnings_propagate(self, monkeypatch):
         solved = []
 
-        def fidelity(params):
-            solved.append(params)
+        def fidelity(comps):  # the components, given as the model
+            solved.append(comps)
             warnings.warn("probe warning")
+            params = comps[0].params
             return 1.0 - (params.Omega / params.gamma) ** 2
 
-        monkeypatch.setattr(schemes, "numeric_fidelity", fidelity)
+        monkeypatch.setattr(schemes, "full_model", lambda comps: comps)
+        monkeypatch.setattr(schemes, "mixture_fidelity", fidelity)
         with pytest.warns(UserWarning, match="probe warning") as caught:
             omega, weak, _ = drive_for_dynamic_error("T0")
         # every solve's warning, the search's as well as the weak drive's,
@@ -445,6 +449,6 @@ class TestDriveSearch:
         assert omega / preset("T0").gamma == pytest.approx(math.sqrt(0.03), rel=1e-3)
 
     def test_unbracketed_target_raises(self, monkeypatch):
-        monkeypatch.setattr(schemes, "numeric_fidelity", lambda params: 0.9)
+        monkeypatch.setattr(schemes, "mixture_fidelity", lambda model: 0.9)
         with pytest.raises(ValueError, match="could not bracket"):
             drive_for_dynamic_error("WS")
