@@ -187,6 +187,8 @@ def _sweep_point(axis: str, value: float, scheme: SchemeId, args) -> list[list]:
 
 
 def cmd_sweep(args) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     axis = args.axis
     values = np.geomspace(args.start, args.stop, args.points) if args.log \
         else np.linspace(args.start, args.stop, args.points)
@@ -275,7 +277,7 @@ def cmd_trajectory(args) -> int:
               "fidelity"]
     rows = []
     failed = False
-    dt = args.dt if args.dt else 0.05 / args.g
+    dt = 0.05 / args.g if args.dt is None else args.dt
     times, _ = liouville.sample_grid(args.t_final, dt)
     for method in methods:
         try:

@@ -4,7 +4,8 @@ exact time evolution and fidelities.
 Vectorization is column-stacking throughout: ``vec(rho) =
 rho.reshape(-1, order="F")`` and the superoperator of ``A rho B`` is
 ``kron(B.T, A)``.  Factorizations run on a generator's real form in the
-orthonormal Hermitian operator basis (see ``LiouvillianMatrix``).
+orthonormal Hermitian operator basis over the ``symmetric_basis`` (see
+``LiouvillianMatrix``), where each exchange sector is a set of coordinates.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ CONVERGED_DISTANCE = 0.01
 
 # Largest coupling between two exchange sectors, relative to max|R|, that
 # ``LiouvillianMatrix.blocks`` may drop when it splits R.
-HERMITICITY_TOL = 1e-12
+SECTOR_COUPLING_TOL = 1e-12
 
 # Sample times evaluated per block, so that the temporaries stay a fraction
 # of the (times x dim^2) result.
@@ -95,17 +96,17 @@ class Eigenblock:
 
 def spectral_modes(blocks: list, y0: np.ndarray, eigenblock) -> list:
     """Modes ``(w_b, c_b, mapped_b)`` of the exact solution of dy/dt = R y,
-    y(0) = y0, for R = sum W M W^T given by its ``[(W, M), ...]`` (W
-    orthonormal, ``None`` for a lone block).
+    y(0) = y0, for R given by its ``[(W, M), ...]``, the blocks M = R[W, W]
+    on the index sets W (``None`` for a lone block).
 
-    Only a block whose share W^T y0 has a nonzero entry is decomposed, by
-    ``eigenblock(b)``, and solved, V_b c_b = W^T y0.  Raises
+    Only a block whose share y0[W] has a nonzero entry is decomposed, by
+    ``eigenblock(b)``, and solved, V_b c_b = y0[W].  Raises
     ``NumericalInstabilityError`` if cond(V) over those blocks exceeds
     ``MAX_EIGENVECTOR_COND``.
     """
     used = []
     for b, (w, _) in enumerate(blocks):
-        share = y0 if w is None else w.T @ y0
+        share = y0 if w is None else y0[w]
         if share.any():
             used.append((eigenblock(b), share))
     sv = np.concatenate([e.singular for e, _ in used])
@@ -150,21 +151,86 @@ def _hermitian_order(d: int) -> tuple[np.ndarray, np.ndarray]:
         (rows // d * d ** 3 + rows % d * d)[:, None] + order // d * d * d + order % d)
 
 
-def from_real(x: np.ndarray, d: int) -> np.ndarray:
-    """T^H x along axis 0: real coordinates (or complex combinations of
-    them, such as eigenvectors) back to column-stacked vectors."""
-    n = (d * d - d) // 2
-    re = math.sqrt(0.5) * x[d:d + n]
-    im = 1j * math.sqrt(0.5) * x[d + n:]
-    out = np.empty(x.shape, dtype=complex)
-    out[_hermitian_order(d)[0]] = np.concatenate([x[:d], re + im, re - im])
+@functools.lru_cache(maxsize=None)
+def symmetric_basis(labels: tuple) -> tuple:
+    """``(pairs, candidates)``: the columns of a real symmetric orthogonal
+    V, and per candidate exchange symmetry U (the atom swap, then the swap
+    times (-1)^excitations) each column's parity p and the ``(even, odd)``
+    real coordinates: U is diagonal there, and rho_ij has parity p_i p_j.
+
+    V pairs each product label (a, b, n), a != b, with its ``partner`` (b,
+    a, n): the first in label order becomes their sum, the second their
+    difference (``swap`` parity -1), over sqrt 2.  A label with a == b is
+    its own partner and stays, so |0,0,0> is still first.  ``pairs =
+    (partner, swap, scale)``: V_ii = swap_i c_i, V_partner(i),i += c_i, with
+    c_i^2 = 1/2, or 1/4 where fixed, and ``scale`` = c c^T.  The ground
+    basis (00, T, 11, S) is that basis already: ``pairs`` is ``None`` (V =
+    1), and S is odd.  Built once per space's labels, read-only."""
+    d, k = len(labels), np.arange(len(labels))
+    if all(isinstance(lb, str) for lb in labels):
+        pairs, excited = None, np.ones(d)
+        swap = np.array([-1.0 if lb == "S" else 1.0 for lb in labels])
+    else:
+        index = {lb: n for n, lb in enumerate(labels)}
+        partner = np.array([index[(b, a, n)] for a, b, n in labels])
+        swap = np.where(partner < k, -1.0, 1.0)
+        c2 = np.where(partner == k, 0.25, 0.5)  # exact, so scale is correctly rounded
+        pairs = tuple(map(_readonly, (partner, swap, np.sqrt(np.outer(c2, c2)))))
+        excited = (-1.0) ** np.array([excitation_count(lb) for lb in labels])
+    i, j = np.triu_indices(d, 1)
+    candidates = []
+    for p in (swap, swap * excited):
+        parity = np.concatenate([np.ones(d), p[i] * p[j], p[i] * p[j]])
+        candidates.append(tuple(map(_readonly, (
+            p, np.flatnonzero(parity > 0), np.flatnonzero(parity < 0)))))
+    return pairs, tuple(candidates)
+
+
+def _rotated(x: np.ndarray, labels: tuple) -> np.ndarray:
+    """V X V (= V^T X V) for each X on the last two axes of x, V that of
+    the ``symmetric_basis`` of ``labels``, formed elementwise, so that every
+    exact cancellation leaves an exact zero (X^T gives (V X V)^T)."""
+    pairs = symmetric_basis(labels)[0]
+    if pairs is None:
+        return x
+    partner, swap, scale = pairs
+    y = x * swap
+    y += x[..., partner]
+    x = y * swap[:, None]
+    x += y[..., partner, :]
+    x *= scale
+    return x
+
+
+def _scattered(x: np.ndarray, rows, n: int) -> np.ndarray:
+    """x's rows placed at coordinates ``rows`` of n (all, if ``None``)."""
+    if rows is None:
+        return x
+    out = np.zeros((n,) + x.shape[1:], dtype=x.dtype)
+    out[rows] = x
     return out
 
 
-def to_real(v: np.ndarray, d: int) -> np.ndarray:
-    """T v for a column-stacked vector v: the inverse of ``from_real``."""
+def from_real(x: np.ndarray, space) -> np.ndarray:
+    """T^H x along axis 0, rotated out of the ``symmetric_basis``: real
+    coordinates (or complex combinations of them, such as eigenvectors)
+    back to column-stacked vectors on the space's own basis."""
+    d = space.dim
     n = (d * d - d) // 2
-    x = np.asarray(v, dtype=complex)[_hermitian_order(d)[0]]
+    re = math.sqrt(0.5) * x[d:d + n]
+    im = 1j * math.sqrt(0.5) * x[d + n:]
+    out = np.empty(x.shape[::-1], dtype=complex)  # each vec(X) read row-major is X^T
+    out.T[_hermitian_order(d)[0]] = np.concatenate([x[:d], re + im, re - im])
+    return _rotated(out.reshape(-1, d, d), space.labels).reshape(x.shape[::-1]).T
+
+
+def to_real(v: np.ndarray, space) -> np.ndarray:
+    """T vec(V^T rho V) for a column-stacked vector v = vec(rho) on the
+    space's own basis: the inverse of ``from_real``."""
+    d = space.dim
+    n = (d * d - d) // 2
+    x = _rotated(np.asarray(v, dtype=complex).reshape(d, d), space.labels)
+    x = x.reshape(-1)[_hermitian_order(d)[0]]
     up, lo = x[d:d + n], x[d + n:]
     return np.concatenate([x[:d], math.sqrt(0.5) * (up + lo),
                            -1j * math.sqrt(0.5) * (up - lo)])
@@ -197,68 +263,19 @@ def _real_form(m: np.ndarray, d: int) -> np.ndarray:
     return _readonly(out)
 
 
-_SECTORS: dict = {}  # per space, published with setdefault like its operators
-
-
-def _exchange_sectors(space) -> tuple:
-    """``(take, sign, (W_even, W_odd))`` per candidate exchange symmetry U,
-    the atom swap and the swap times (-1)^excitations (none without atoms).
-
-    (U rho U^H)_ij = s_i s_j rho_pi(i)pi(j) is, on the real coordinates, the
-    signed permutation (Q x)_k = sign_k x_perm(k); an Im coordinate's sign
-    also flips when pi(i) > pi(j).  ``R.take(take)`` is R_perm(k)perm(l).
-    W_even and W_odd span Q = +1 and -1 with fixed coordinates and sums or
-    differences of swapped pairs, in coordinate order, so W_even starts
-    with rho_00."""
-    cached = _SECTORS.get(space)
-    if cached is not None or not all(isinstance(lb, tuple) for lb in space.labels):
-        return cached or ()
-    d = space.dim
-    swap = np.array([space.index_map[(b, a, n)] for a, b, n in space.labels])
-    i, j = np.triu_indices(d, 1)
-    si, sj = swap[i], swap[j]
-    pair = np.empty((d, d), dtype=int)
-    pair[i, j] = pair[j, i] = np.arange(len(i))
-    perm = np.concatenate([swap, d + pair[si, sj], d + len(i) + pair[si, sj]])
-    take = _readonly(perm[:, None] * (d * d) + perm)
-    out, excited = [], (-1.0) ** np.array([excitation_count(lb) for lb in space.labels])
-    for s in (np.ones(d), excited):
-        sign = _readonly(np.concatenate(
-            [np.ones(d), s[i] * s[j], np.where(si > sj, -1.0, 1.0) * s[i] * s[j]]))
-        bases = []
-        for parity in (1.0, -1.0):
-            cols, partner, flip = _sector_coordinates(perm, sign, parity)
-            h = np.where(partner == cols, 0.5, math.sqrt(0.5))
-            w = np.zeros((d * d, len(cols)))
-            w[cols, np.arange(len(cols))] = h
-            w[partner, np.arange(len(cols))] += flip * h
-            bases.append(_readonly(w))
-        out.append((take, sign, tuple(bases)))
-    return _SECTORS.setdefault(space, tuple(out))
-
-
-def _sector_coordinates(perm, sign, parity: float) -> tuple:
-    """Per basis vector of Q's ``parity`` sector, in coordinate order: its
-    leading coordinate k, the partner perm(k) and the partner's relative
-    sign parity sign_k.  The vector is e_k for a fixed coordinate (perm(k) =
-    k), else (e_k + flip e_perm(k)) / sqrt 2."""
-    k = np.arange(len(perm))
-    lead = k[(perm > k) | ((perm == k) & (sign == parity))]
-    return lead, perm[lead], parity * sign[lead]
-
-
 class LiouvillianMatrix:
     """dim^2 x dim^2 generator L on column-stacked density matrices, held as
-    its real form R = ``real_form()`` = T L T^H alone (see ``_real_form``;
-    ``from_real`` and ``to_real`` map vectors between the two coordinates).
-    Factorizations run on the ``blocks()`` of R: the two exchange sectors
-    (80 + 64 or 72 + 72 for the default 144) when the atom swap, alone or
-    times (-1)^excitations, commutes with L, else R itself.  All are kept:
-    ``bordered_inverse()`` serves the steady state and the uniqueness test,
-    and an ``Eigenblock`` per block that an evolution's start has a share in
-    serves ``solution()`` (a symmetric start decomposes the even block
-    alone); ``gap()`` and ``eigenvalues()`` run ``eigvals`` on the blocks
-    they read and that are not decomposed.
+    its real form R = ``real_form()`` alone: ``_real_form`` of L in the
+    ``symmetric_basis`` (``from_real`` and ``to_real`` map vectors between
+    R's coordinates and vec(rho) on the space's own basis).  Factorizations
+    run on the ``blocks()`` of R: the two exchange sectors (80 + 64 or 72 +
+    72 of 144, 10 + 6 of an effective model's 16) when the atom swap, alone
+    or times (-1)^excitations, commutes with L, else R itself.  All are
+    kept: ``bordered_inverse()`` serves the steady state and the uniqueness
+    test, and an ``Eigenblock`` per block that an evolution's start has a
+    share in serves ``solution()`` (a symmetric start decomposes the even
+    block alone); ``gap()`` and ``eigenvalues()`` run ``eigvals`` on the
+    blocks they read and that are not decomposed.
     """
 
     def __init__(self, space, real: np.ndarray):
@@ -271,46 +288,28 @@ class LiouvillianMatrix:
         return self._real
 
     def blocks(self) -> list:
-        """``(W, M)`` pairs with R = sum W M W^T: the blocks W^T R W of the
-        first ``_exchange_sectors`` symmetry Q whose dropped coupling,
-        (R - Q R Q^T) / 2, is within ``HERMITICITY_TOL`` of max|R| (a drive
-        phase of pi misses exactness by ~1e-17), else ``[(None, R)]``.
-        W^T R W = W^T S W for the part S of R that commutes with Q, so its
-        entries are (S_kl + flip_l S_k,perm(l)) c_k c_l on the leading
-        coordinates of ``_sector_coordinates``, c = sqrt(1/2) where fixed,
-        else 1: no matrix product."""
+        """``(W, M)`` pairs with M = R[W, W] for an index array W: the even
+        and odd coordinates of the first ``symmetric_basis`` candidate
+        whose cross blocks R[even, odd] and R[odd, even], the coupling the
+        split drops, are within ``SECTOR_COUPLING_TOL`` of max|R| (a drive
+        phase of pi misses exactness by ~1e-17), else ``[(None, R)]``."""
         if self._blocks is None:
             r = self.real_form()
-            blocks, sectors = [(None, r)], _exchange_sectors(self.space)
-            if sectors:  # both candidates permute alike; only their signs differ
-                perm = sectors[0][0][0] % len(r)  # take[0] = perm[0] n + perm
-                tol = 2 * HERMITICITY_TOL * max(r.max(), -r.min())
-                sym = np.empty_like(r)  # both are tested in this buffer
-            for take, sign, bases in sectors:
-                r.take(take, out=sym, mode="clip")  # "raise" would buffer out
-                sym *= sign[:, None]
-                sym *= sign  # Q R Q^T
-                sym -= r
-                if max(sym.max(), -sym.min()) <= tol:
-                    sym *= 0.5
-                    sym += r  # S = (R + Q R Q^T) / 2
-                    blocks = []
-                    for parity, w in zip((1.0, -1.0), bases):
-                        lead, partner, flip = _sector_coordinates(perm, sign, parity)
-                        rows = sym[lead]
-                        c = np.where(partner == lead, math.sqrt(0.5), 1.0)
-                        m = (rows[:, partner] * flip + rows[:, lead]) * c[:, None]
-                        m *= c
-                        blocks.append((w, _readonly(m)))
+            self._blocks = [(None, r)]
+            tol = SECTOR_COUPLING_TOL * max(r.max(), -r.min())
+            for _, even, odd in symmetric_basis(self.space.labels)[1]:
+                top, bottom = r[even], r[odd]
+                cross = top[:, odd], bottom[:, even]
+                if max(max(c.max(), -c.min()) for c in cross) <= tol:
+                    self._blocks = [(even, _readonly(top[:, even])),
+                                    (odd, _readonly(bottom[:, odd]))]
                     break
-            self._blocks = blocks
         return self._blocks
 
     def _trace(self) -> np.ndarray:
         """The trace functional on the first block (the odd one has none)."""
         w = self.blocks()[0][0]
-        trace = (np.arange(self.dim ** 2) < self.dim).astype(float)
-        return trace if w is None else trace @ w
+        return ((np.arange(self.dim ** 2) if w is None else w) < self.dim).astype(float)
 
     def bordered_inverse(self) -> list:
         """``(W, B^-1)`` per block of B, the real form with row 0 (rho_00,
@@ -370,8 +369,8 @@ class LiouvillianMatrix:
         return float(np.sort(np.abs(self._values(0).real))[1])
 
     def _eigenblock(self, b: int) -> Eigenblock:
-        """Block b's eigenpairs, mapped back to column-stacked vectors
-        (cond(V) is unchanged: T and W are unitary).  The first block's
+        """Block b's eigenpairs, mapped back to column-stacked vectors once
+        (cond(V) is unchanged: the map is an isometry).  The first block's
         conserve the trace, with the state of ``bordered_inverse()``, unless
         that is not unique (an undriven model)."""
         if b not in self._eigenblocks:
@@ -382,7 +381,8 @@ class LiouvillianMatrix:
             except DegenerateSteadyStateError:
                 stationary = None
             self._eigenblocks[b] = Eigenblock.of(
-                m, lambda v: from_real(v if w is None else w @ v, self.dim), stationary)
+                m, lambda v: from_real(_scattered(v, w, self.dim ** 2), self.space),
+                stationary)
         return self._eigenblocks[b]
 
     def solution(self, rho0: np.ndarray):
@@ -393,14 +393,17 @@ class LiouvillianMatrix:
 
 def _generator_rows(me: MasterEquation) -> np.ndarray:
     """Rows rho_ii and rho_ij (i < j) of ``vectorize``'s L, all that
-    ``_real_form`` reads, columns in Hermitian order.  Seen as a (d, d, d, d)
+    ``_real_form`` reads, columns in Hermitian order, for H and the jumps
+    rotated into the ``symmetric_basis`` (V A V).  Seen as a (d, d, d, d)
     array ``[i, j, k, l]`` (row ``i d + j``, column ``k d + l``), L's jump
     sum is one (K x d^2)^H (K x d^2) product laid out as ``[i, k, j, l]``,
     where the H_eff terms are strided row and column slices (``i == k`` and
     ``j == l``); the rows are gathered from it, forming no Kronecker product
     and no column-stacked L."""
-    h, d = me.H, me.dim
-    jumps = np.array(list(me.lindblads.values()), dtype=complex).reshape(-1, d, d)
+    d, labels = me.dim, me.space.labels
+    h = _rotated(me.H, labels)
+    jumps = _rotated(np.array(list(me.lindblads.values()), dtype=complex).reshape(
+        -1, d, d), labels)
     h_eff = h - 0.5j * np.tensordot(jumps.conj(), jumps, axes=([0, 1], [0, 1]))
     flat = jumps.reshape(-1, d * d)
     # (flat^H flat)[(i, k), (j, l)] = sum_n conj(L_n[i, k]) L_n[j, l]
@@ -429,14 +432,14 @@ def vectorize_sum(terms: list) -> LiouvillianMatrix:
         sum(w * _generator_rows(me) for w, me in terms), space.dim))
 
 
-_TERM_FORMS: dict = {}  # per space, published with setdefault like _SECTORS
+_TERM_FORMS: dict = {}  # per space, published with setdefault
 
 
 def full_generator(params: SystemParams) -> LiouvillianMatrix:
     """``vectorize(build_master_equation(params))`` up to rounding, formed as
     the ``TERMS`` coefficients' product with the rows' real forms, scattered
     into R.  Those are ``vectorize``d once per space, on first use, and kept
-    read-only on the union of their nonzeros (1,170 of 20,736 at dim 12)."""
+    read-only on the union of their nonzeros (1,532 of 20,736 at dim 12)."""
     space = make_space(params)
     forms = _TERM_FORMS.get(space)
     if forms is None:
@@ -490,7 +493,7 @@ class Mixture:
 
     def solution(self, rho0: np.ndarray):
         """sum_c w_c exp(L_c t) vec(rho0), a function of an array of times."""
-        y0 = to_real(vec(rho0), self.dim)
+        y0 = to_real(vec(rho0), self.space)
         return superpose([(values, w * c, mapped) for w, lv in self.parts
                           for values, c, mapped in spectral_modes(
                               lv.blocks(), y0, lv._eigenblock)])
@@ -512,20 +515,12 @@ class Mixture:
             sectors=(gap, float(min(o.min() for o in odd))) if all(map(len, odd)) else ())
 
 
-def _is_ground_basis(space) -> bool:
-    return all(isinstance(lb, str) for lb in space.labels)
-
-
 def ground_state_vectors(space) -> dict[str, np.ndarray]:
     """Unit vectors of the four zero-photon ground combinations."""
     names = ("00", "T", "11", "S")
-    if _is_ground_basis(space):
-        out = {}
-        for name in names:
-            v = np.zeros(space.dim, dtype=complex)
-            v[space.labels.index(name)] = 1.0
-            out[name] = v
-        return out
+    if all(isinstance(lb, str) for lb in space.labels):  # a ground basis
+        return {name: np.eye(space.dim, dtype=complex)[space.labels.index(name)]
+                for name in names}
     return {name: named_state(space, name, photon=0) for name in names}
 
 
@@ -540,18 +535,19 @@ def steady_state(lv: LiouvillianMatrix) -> np.ndarray:
     mapped back to vec form, Hermitized and trace-normalized.
 
     Raises ``NumericalInstabilityError`` if the real solution x leaves ||R x||
-    = ||L vec(rho)|| (T is unitary) above 1e-10 (||R||_1 / 2) ||x|| <= 1e-10
-    ||L||_1 ||x|| (||R||_1 <= 2 ||L||_1), or has an eigenvalue below -1e-6.
+    = ||L vec(rho)|| (T and V are unitary) above 1e-10 (||R||_1 / 8) ||x|| <=
+    1e-10 ||L||_1 ||x|| (T (V (x) V) has 1-norm 2 sqrt 2, and so has its
+    inverse), or has an eigenvalue below -1e-6.
     """
     w, inv = lv.bordered_inverse()[0]
-    x = inv[:, 0] if w is None else w @ inv[:, 0]
+    x = _scattered(inv[:, 0], w, lv.dim ** 2)
     residual = np.linalg.norm(lv.real_form() @ x)
-    bound = 0.5e-10 * np.linalg.norm(lv.real_form(), 1) * np.linalg.norm(x)
+    bound = 0.125e-10 * np.linalg.norm(lv.real_form(), 1) * np.linalg.norm(x)
     if not residual <= bound:
         raise NumericalInstabilityError(
             f"steady-state residual {residual:.3e} exceeds {bound:.3e}"
         )
-    rho = unvec(from_real(x, lv.dim), lv.dim)
+    rho = unvec(from_real(x, lv.space), lv.dim)
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
     w = np.linalg.eigvalsh(rho)

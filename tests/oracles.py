@@ -31,10 +31,10 @@ def apply_generator(me: MasterEquation, rho: np.ndarray) -> np.ndarray:
 
 
 def complex_form(lv: LiouvillianMatrix) -> np.ndarray:
-    """The column-stacked L = T^H R T of the generator's real form R,
-    formed as (T^H (T^H R)^H)^H."""
-    half = from_real(lv.real_form(), lv.dim).conj().T
-    return from_real(half, lv.dim).conj().T
+    """The column-stacked L = F R F^H on the space's own basis of the
+    generator's real form R, F = ``from_real``, formed as (F (F R)^H)^H."""
+    half = from_real(lv.real_form(), lv.space).conj().T
+    return from_real(half, lv.space).conj().T
 
 
 class SingularPropagatorError(RuntimeError):

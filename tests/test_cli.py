@@ -72,6 +72,20 @@ def test_steady_records_sector_gaps_when_the_model_splits(tmp_path):
         assert set(gaps(*flags)) == {"full", "effective", "analytic"}
 
 
+def test_steady_s0_effective_gap_is_even_sector(tmp_path, capsys):
+    # the effective model's ground basis splits as the full model does, so
+    # the effective gap is the even sector's too, like the analytic gap;
+    # its slowest mode of either parity was odd, -28% off at C = 1000
+    record = tmp_path / "run.json"
+    assert main(["steady", "--scheme", "S0", "--C", "1000",
+                 "--record", str(record)]) == 0
+    outputs = json.loads(record.read_text())["outputs"]
+    gaps = {o["method"]: o["value"] for o in outputs if o["name"] == "gap"}
+    assert gaps["effective"] == pytest.approx(gaps["analytic"], rel=0.01)
+    printed = capsys.readouterr().out.split("effective deviation ")[1].split("%")[0]
+    assert abs(float(printed)) <= 1.0
+
+
 def test_steady_t0_value(tmp_path):
     record = tmp_path / "t0.json"
     assert main(["steady", "--scheme", "T0", "--record", str(record)]) == 0
@@ -181,6 +195,11 @@ def test_trajectory_mixture_effective_tracks_full(tmp_path):
     (["table1", "--g", "nan", "--out"], "--g must be finite and positive, got nan"),
     (["table1", "--g", "0", "--out"], "--g must be finite and positive, got 0.0"),
     (["--g-mhz", "nan", "table1", "--out"], "--g-mhz must be finite and positive"),
+    (["trajectory", "--t-final", "1", "--dt", "0", "--out"], "dt = 0.0"),
+    (["sweep", "--axis", "cooperativity", "--start", "10", "--stop", "100",
+      "--points", "0", "--out"], "--points must be at least 1, got 0"),
+    (["sweep", "--axis", "drive", "--start", "0.01", "--stop", "0.1",
+      "--points", "-2", "--out"], "--points must be at least 1, got -2"),
 ])
 def test_bad_command_argument_exits_2_naming_it(tmp_path, capsys, argv, message):
     # checked before any scheme or method runs: no output is written

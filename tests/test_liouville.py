@@ -17,9 +17,9 @@ from cavsinglet.liouville import (
     TRACE_TOL,
     LiouvillianMatrix,
     Mixture,
-    _exchange_sectors,
     _hermitian_order,
     _real_form,
+    _rotated,
     evolve_spectral,
     fidelity,
     from_real,
@@ -32,6 +32,7 @@ from cavsinglet.liouville import (
     spectral_modes,
     steady_state,
     superpose,
+    symmetric_basis,
     time_to_convergence,
     to_real,
     trajectory_csv_rows,
@@ -166,6 +167,34 @@ def dense_hermitian_basis_map(d: int) -> np.ndarray:
     return np.array(rows)
 
 
+def symmetric_states(space) -> np.ndarray:
+    """V, whose columns are the ``symmetric_basis`` states, assembled from
+    its ``pairs`` (the identity for the ground basis)."""
+    pairs = symmetric_basis(space.labels)[0]
+    if pairs is None:
+        return np.eye(space.dim)
+    partner, swap, scale = pairs
+    k = np.arange(space.dim)
+    v = np.diag(swap)
+    v[partner, k] += 1.0
+    return v * np.sqrt(np.diag(scale))
+
+
+def real_coordinates_map(space) -> np.ndarray:
+    """The dense map that ``to_real`` applies: T (V (x) V), vec(rho) to the
+    real coordinates of V rho V (V is real and symmetric)."""
+    v = symmetric_states(space)
+    return dense_hermitian_basis_map(space.dim) @ np.kron(v, v)
+
+
+def rotated(me: MasterEquation) -> MasterEquation:
+    """The master equation with H and the jumps in the ``symmetric_basis``,
+    as ``vectorize`` rotates them."""
+    labels = me.space.labels
+    return MasterEquation(me.space, _rotated(me.H, labels),
+                          {k: _rotated(op, labels) for k, op in me.lindblads.items()})
+
+
 def column_stacked(me: MasterEquation) -> np.ndarray:
     """The column-stacked L assembled in full from the jump operators'
     (K x d^2)^H (K x d^2) product, laid out as ``[i, k, j, l]``: the oracle
@@ -207,10 +236,13 @@ def in_hermitian_order(mat: np.ndarray, d: int) -> np.ndarray:
 class TestRealForm:
     @pytest.mark.parametrize("name", list(oracle_models()))
     def test_bit_identical_to_column_stacked_oracle(self, name):
+        # R is the real form of L in the symmetric basis; complex_form
+        # rotates it back to the product basis
         me = oracle_models()[name]
         mat, d = column_stacked(me), me.dim
         lv = vectorize(me)
-        assert np.array_equal(lv.real_form(), _real_form(in_hermitian_order(mat, d), d))
+        assert np.array_equal(lv.real_form(), _real_form(
+            in_hermitian_order(column_stacked(rotated(me)), d), d))
         assert np.abs(complex_form(lv) - mat).max() <= 1e-15 * np.abs(mat).max()
 
     def test_weighted_sum_bit_identical_to_summed_oracle(self):
@@ -236,7 +268,7 @@ class TestRealForm:
             params = preset(scheme, gamma=gamma, kappa=kappa,
                             Omega=omega_over_gamma * gamma)
         lv = vectorize(build_master_equation(params))
-        t, mat = dense_hermitian_basis_map(lv.dim), complex_form(lv)
+        t, mat = real_coordinates_map(lv.space), complex_form(lv)
         assert np.abs(t @ t.conj().T - np.eye(len(t))).max() < 1e-15
         norm_l = np.linalg.norm(mat, 1)
         dense = t @ mat @ t.conj().T
@@ -252,15 +284,18 @@ class TestRealForm:
         lv = vectorize(random_master_equation(space, rng))
         x = rng.normal(size=(12, 24)).view(complex)
         rho = x @ x.conj().T
-        t = dense_hermitian_basis_map(12)
+        t = real_coordinates_map(space)
         coords = t @ vec(rho)
         assert np.abs(coords.imag).max() < 1e-12
-        back = from_real(coords.real, 12)
+        back = from_real(coords.real, space)
         assert np.abs(back - vec(rho)).max() < 1e-12
-        # to_real is T itself, on any vector, Hermitian or not
+        # to_real is T (V (x) V) itself, on any vector, Hermitian or not
         v = rng.normal(size=144 * 2).view(complex)
-        assert np.abs(to_real(v, 12) - t @ v).max() < 1e-12
-        assert np.abs(from_real(to_real(v, 12), 12) - v).max() < 1e-12
+        assert np.abs(to_real(v, space) - t @ v).max() < 1e-12
+        assert np.abs(from_real(to_real(v, space), space) - v).max() < 1e-12
+        # and on a stack of them, as eigenvectors are mapped
+        stack = rng.normal(size=(144, 6)).view(complex)
+        assert np.abs(from_real(stack, space) - t.conj().T @ stack).max() < 1e-12
         # a random Lindblad generator preserves Hermiticity as well
         assert np.abs((t @ complex_form(lv) @ t.conj().T).imag).max() < 1e-12
 
@@ -311,14 +346,14 @@ class TestFullGenerator:
         assert not any(a.flags.writeable for a in (*forms, first.real_form()))
 
 
-def exchange_superoperator(space, parity: bool) -> np.ndarray:
-    """conj(U) (x) U for U the atom swap, times (-1)^excitations if
-    ``parity``: the column-stacked action of rho -> U rho U^H."""
+def exchange_operator(space, parity: bool) -> np.ndarray:
+    """U, the atom swap, times (-1)^excitations if ``parity``, on the
+    product states."""
     u = np.zeros((space.dim, space.dim))
     for k, (a, b, n) in enumerate(space.labels):
         sign = (-1.0) ** excitation_count((a, b, n)) if parity else 1.0
         u[space.index((b, a, n)), k] = sign
-    return np.kron(u, u)
+    return u
 
 
 def one_block_steady_vector(lv) -> np.ndarray:
@@ -326,32 +361,54 @@ def one_block_steady_vector(lv) -> np.ndarray:
     b = lv.real_form().copy()
     b[0] = 0.0
     b[0, :lv.dim] = 1.0
-    return from_real(np.linalg.inv(b)[:, 0], lv.dim)
+    return from_real(np.linalg.inv(b)[:, 0], lv.space)
 
 
 class TestExchangeSectors:
     @pytest.mark.parametrize("n_max,cap", [(1, 1), (1, None), (2, 2)])
-    def test_signed_permutation_of_the_real_coordinates(self, n_max, cap, rng):
+    def test_symmetric_basis_diagonalizes_both_candidates(self, n_max, cap, rng):
         space = build_space(n_max, cap)
-        t = dense_hermitian_basis_map(space.dim)
-        sectors = _exchange_sectors(space)
-        assert _exchange_sectors(space) is sectors  # cached per space
-        for parity, (take, sign, bases) in zip((False, True), sectors):
-            q = t @ exchange_superoperator(space, parity) @ t.conj().T
-            assert np.abs(q.imag).max() < 1e-15
-            q = q.real
-            r = rng.normal(size=q.shape)
-            image = sign[:, None] * r.take(take) * sign
-            assert np.abs(image - q @ r @ q.T).max() < 1e-12
-            w = np.hstack(bases)
-            assert np.abs(w.T @ w - np.eye(len(w))).max() < 1e-15
-            assert np.abs(q @ bases[0] - bases[0]).max() < 1e-15
-            assert np.abs(q @ bases[1] + bases[1]).max() < 1e-15
-            assert bases[0][0, 0] == 1.0  # rho_00 leads the even sector
-            assert not any(a.flags.writeable for a in (take, sign, *bases))
+        basis = symmetric_basis(space.labels)
+        assert symmetric_basis(space.labels) is basis  # cached per space's labels
+        pairs, candidates = basis
+        assert not any(a.flags.writeable for a in (*pairs, *sum(candidates, ())))
+        v = symmetric_states(space)
+        assert np.abs(v.T @ v - np.eye(space.dim)).max() < 1e-15
+        assert np.array_equal(v[:, 0], np.eye(space.dim)[0])  # |0,0,0> stays first
+        # the paper's pairs: the first label of each is its sum, the second
+        # its difference
+        for name, label in (("T", "01"), ("S", "10"), ("T0", "0e"), ("S0", "e0"),
+                            ("T1", "1e"), ("S1", "e1")):
+            column = v[:, space.index((*label, 0))]
+            assert np.abs(column - named_state(space, name)).max() < 1e-15
+        x = rng.normal(size=(3, space.dim, 2 * space.dim)).view(complex)
+        assert np.abs(_rotated(x, space.labels) - v.T @ x @ v).max() < 1e-14
+        t = real_coordinates_map(space)
+        for parity, (p, even, odd) in zip((False, True), candidates):
+            u = exchange_operator(space, parity)
+            assert np.abs(v.T @ u @ v - np.diag(p)).max() < 1e-15
+            # rho -> U rho U^H is +1 on the even coordinates, -1 on the odd
+            q = t @ np.kron(u, u) @ t.conj().T
+            sign = np.zeros(len(q))
+            sign[even], sign[odd] = 1.0, -1.0
+            assert np.abs(q - np.diag(sign)).max() < 1e-14
+            assert even[0] == 0  # rho_00 leads the even sector
 
-    def test_ground_basis_has_no_sectors(self, s1_params):
-        assert _exchange_sectors(effective.partition(s1_params).ground) == ()
+    @pytest.mark.parametrize("scheme", ["S1", "S0", "T1", "T0", "WS"])
+    def test_ground_basis_has_two_sectors(self, scheme):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # regime warnings from preset
+            pm = effective.partition(preset(scheme))
+        pairs, candidates = symmetric_basis(pm.ground.labels)
+        assert pairs is None  # (00, T, 11, S) is the symmetric basis already
+        assert [(len(even), len(odd)) for _, even, odd in candidates] == [(10, 6)] * 2
+        lv = vectorize(effective.reduce(pm).as_master_equation())
+        # WS's +-b shift couples S to T
+        assert [len(m) for _, m in lv.blocks()] == ([16] if scheme == "WS" else [10, 6])
+        ref = np.linalg.eigvals(lv.real_form())
+        for x, y in ((lv.eigenvalues(), ref), (ref, lv.eigenvalues())):
+            assert np.abs(x[:, None] - y[None, :]).min(axis=1).max() \
+                <= 1e-14 * np.abs(ref).max()
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(
@@ -385,7 +442,9 @@ class TestExchangeSectors:
         report = spectral_gap(lv)
         assert report.sectors[0] == report.gap
         w, inv = lv.bordered_inverse()[0]
-        split = from_real(w @ inv[:, 0], lv.dim)
+        x = np.zeros(len(lv.real_form()))
+        x[w] = inv[:, 0]
+        split = from_real(x, lv.space)
         assert np.abs(split - one_block_steady_vector(lv)).max() <= 1e-12
 
 
@@ -402,16 +461,20 @@ class TestSteadyState:
     @pytest.mark.parametrize("writeable", [True, False])
     def test_bordered_inverse_keeps_the_flag_of_an_unsplit_r(self, s1_master, writeable):
         # an unsplit R is its own first block, whose row 0 the solve swaps
-        # out and back
+        # out and back; a diagonal R commutes with both candidates, so
+        # rho_00 is coupled to a coordinate odd under both
         d = s1_master.dim
-        r = np.diag(-1.0 - np.arange(d * d, dtype=float))
+        expected = np.diag(-1.0 - np.arange(d * d, dtype=float))
+        odd = [o for _, _, o in symmetric_basis(s1_master.space.labels)[1]]
+        expected[0, np.intersect1d(*odd)[0]] = 1.0
+        r = expected.copy()
         r.flags.writeable = writeable
         lv = LiouvillianMatrix(s1_master.space, r)
         [(w, block)] = lv.blocks()
         assert w is None and block is r
         lv.bordered_inverse()
         assert r.flags.writeable is writeable
-        assert np.array_equal(r, np.diag(-1.0 - np.arange(d * d, dtype=float)))
+        assert np.array_equal(r, expected)
 
     def test_s1_fidelity_reference_value(self, s1_steady, s1_master):
         fid = fidelity(s1_steady, named_state(s1_master.space, "S"))
@@ -446,8 +509,8 @@ class TestSteadyState:
         x = vec(rho)
         assert np.linalg.norm(mat @ x) <= 1e-10 * norm_l * np.linalg.norm(x)
         # the check steady_state makes, on the real form: never looser
-        r, x_real = lv.real_form(), to_real(x, lv.dim)
-        bound = 0.5e-10 * np.linalg.norm(r, 1) * np.linalg.norm(x_real)
+        r, x_real = lv.real_form(), to_real(x, lv.space)
+        bound = 0.125e-10 * np.linalg.norm(r, 1) * np.linalg.norm(x_real)
         assert np.linalg.norm(r @ x_real) <= bound <= 1e-10 * norm_l * np.linalg.norm(x)
         report = spectral_gap(lv)
         stationary = abs(report.eigenvalues[0].real)
@@ -717,17 +780,17 @@ class TestSpectralEvolution:
 
 
 def two_block_evolution(lv, rho0, times) -> np.ndarray:
-    """exp(L t) rho0 through the dense T of the real coordinates and an
-    ``eig`` of every block W^T R W: the reference for evolutions that
-    decompose only the blocks the start has a share in."""
-    t_map = dense_hermitian_basis_map(lv.dim)
+    """exp(L t) rho0 through the dense T (V (x) V) of the real coordinates
+    and an ``eig`` of every block R[W, W]: the reference for evolutions
+    that decompose only the blocks the start has a share in."""
+    t_map = real_coordinates_map(lv.space)
     y0 = t_map @ vec(rho0)
     y = 0.0
     for w, m in lv.blocks():
         values, v = np.linalg.eig(m)
-        c = np.linalg.solve(v, w.T @ y0)
-        y = y + (np.exp(np.multiply.outer(times, values)) * c) @ (w @ v).T
-    return unvec(y @ t_map.conj(), lv.dim)
+        c = np.linalg.solve(v, y0[w])
+        y = y + (np.exp(np.multiply.outer(times, values)) * c) @ v.T @ t_map[w].conj()
+    return unvec(y, lv.dim)
 
 
 class TestEvenSectorEvolution:
@@ -839,6 +902,6 @@ class TestMixture:
         # one part of weight 1 is that part, bit for bit
         lv = parts[0][1]
         one = Mixture([(1.0, lv)])
-        modes = spectral_modes(lv.blocks(), to_real(vec(rho0), lv.dim), lv._eigenblock)
+        modes = spectral_modes(lv.blocks(), to_real(vec(rho0), lv.space), lv._eigenblock)
         assert signed_equal(one.solution(rho0)(times), superpose(modes)(times))
         assert signed_equal(one.steady_state(), steady_state(lv))
