@@ -10,11 +10,14 @@ significant digits) and JSON run records.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
 import json
 import math
+import os
+import stat
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -81,8 +84,22 @@ def run_record(scheme: str, comps: list[schemes.Component], outputs: list[dict],
     }
 
 
+@contextlib.contextmanager
+def _rewritten(path: Path):
+    """A text file at ``path`` to write over in place: opened without
+    truncating, and cut at the end of what was written if it is a regular
+    file (a pipe or a device such as /dev/null has no tail, and refuses
+    the cut).  On ext4 a truncation to zero followed by close forces a
+    flush (``auto_da_alloc``), and so does a rename over the old file."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as fh:
+        yield fh
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
 def write_record(record: dict, path: Path) -> None:
-    path.write_text(json.dumps(record, indent=1) + "\n")
+    with _rewritten(path) as fh:
+        fh.write(json.dumps(record, indent=1) + "\n")
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -90,7 +107,7 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     floats and strings is one %-format, cached per cell-type signature; csv
     writes any other row, and any whose text it would quote."""
     formats: dict = {}
-    with open(path, "w", newline="") as fh:
+    with _rewritten(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -189,6 +206,9 @@ def _sweep_point(axis: str, value: float, scheme: SchemeId, args) -> list[list]:
 def cmd_sweep(args) -> int:
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
+    if args.log and not args.start * args.stop > 0.0:
+        raise ValueError(f"a --log grid needs a nonzero --start and --stop of one "
+                         f"sign, got {args.start} and {args.stop}")
     axis = args.axis
     values = np.geomspace(args.start, args.stop, args.points) if args.log \
         else np.linspace(args.start, args.stop, args.points)
@@ -328,7 +348,8 @@ def cmd_reduce(args) -> int:
         k: ([v.real, v.imag] if isinstance(v, complex) else float(v))
         for k, v in effective.effective_rates(params).items()
     }
-    Path(args.out).write_text(model.to_json(rates=rates) + "\n")
+    with _rewritten(Path(args.out)) as fh:
+        fh.write(model.to_json(rates=rates) + "\n")
     print(f"effective model written to {args.out}")
     return 0
 

@@ -62,16 +62,15 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Eigenblock:
-    """Right eigenpairs ``M V = V diag(values)`` of one block, V's columns
-    in the output coordinates (``mapped``) and V's singular values."""
+    """Right eigenpairs ``M V = V diag(values)`` of one real block and V's
+    singular values."""
 
     values: np.ndarray
     vectors: np.ndarray
-    mapped: np.ndarray
     singular: np.ndarray
 
     @classmethod
-    def of(cls, m: np.ndarray, to_output=lambda v: v, stationary=None) -> "Eigenblock":
+    def of(cls, m: np.ndarray, stationary=None) -> "Eigenblock":
         """``stationary = (trace, x)`` holds the trace functional and the
         unique stationary state (trace @ M = 0, M x = 0, trace @ x = 1) of
         a trace-preserving generator's block, x solved more accurately than
@@ -79,7 +78,12 @@ class Eigenblock:
         eigenvector x, and the other eigenvectors lose the multiple of x
         that carries their trace.  ``eig`` misses both by ~eps ||M|| / gap,
         which put the evolution's limit 0.2 (trace distance) off the steady
-        state for WS at C = 1000, Omega = gamma/20, where the gap is 5e-12."""
+        state for WS at C = 1000, Omega = gamma/20, where the gap is 5e-12.
+
+        ``eig`` of a real M returns each complex column V_+ (Im w > 0) next
+        to its conjugate, so V times a unitary is the real [V_real, sqrt2 Re
+        V_+, sqrt2 Im V_+], whose real SVD gives V's singular values at about
+        half the cost of the complex one."""
         values, vectors = np.linalg.eig(m)
         values, vectors = values.astype(complex), vectors.astype(complex)
         if stationary is not None:
@@ -90,14 +94,18 @@ class Eigenblock:
             traces[s] = 0.0
             vectors -= np.outer(x, traces)
             vectors[:, s] = x / np.linalg.norm(x)
-        return cls(values, vectors, to_output(vectors),
-                   np.linalg.svd(vectors, compute_uv=False))
+        upper = vectors[:, values.imag > 0.0] * math.sqrt(2.0)
+        real = np.hstack([vectors[:, values.imag == 0.0].real, upper.real, upper.imag])
+        return cls(values, vectors, np.linalg.svd(real, compute_uv=False))
 
 
-def spectral_modes(blocks: list, y0: np.ndarray, eigenblock) -> list:
-    """Modes ``(w_b, c_b, mapped_b)`` of the exact solution of dy/dt = R y,
-    y(0) = y0, for R given by its ``[(W, M), ...]``, the blocks M = R[W, W]
-    on the index sets W (``None`` for a lone block).
+def spectral_modes(blocks: list, y0: np.ndarray, eigenblock,
+                   readout=lambda v: v) -> list:
+    """Modes ``(w_b, c_b, readout(V_b))`` of the exact solution of dy/dt =
+    R y, y(0) = y0, for R given by its ``[(W, M), ...]``, the blocks M =
+    R[W, W] on the index sets W (``None`` for a lone block): ``readout``
+    maps a block's eigenvectors, placed at their coordinates W of y0's, to
+    the output coordinates.
 
     Only a block whose share y0[W] has a nonzero entry is decomposed, by
     ``eigenblock(b)``, and solved, V_b c_b = y0[W].  Raises
@@ -108,15 +116,16 @@ def spectral_modes(blocks: list, y0: np.ndarray, eigenblock) -> list:
     for b, (w, _) in enumerate(blocks):
         share = y0 if w is None else y0[w]
         if share.any():
-            used.append((eigenblock(b), share))
-    sv = np.concatenate([e.singular for e, _ in used])
+            used.append((w, eigenblock(b), share))
+    sv = np.concatenate([e.singular for _, e, _ in used])
     cond = sv.max() / sv.min()
     if not cond <= MAX_EIGENVECTOR_COND:
         raise NumericalInstabilityError(
             f"generator is not safely diagonalizable: cond(V) = {cond:.3e} "
             f"exceeds {MAX_EIGENVECTOR_COND:.0e}"
         )
-    return [(e.values, np.linalg.solve(e.vectors, share), e.mapped) for e, share in used]
+    return [(e.values, np.linalg.solve(e.vectors, share),
+             readout(_scattered(e.vectors, w, len(y0)))) for w, e, share in used]
 
 
 def superpose(modes: list):
@@ -211,16 +220,23 @@ def _scattered(x: np.ndarray, rows, n: int) -> np.ndarray:
     return out
 
 
-def from_real(x: np.ndarray, space) -> np.ndarray:
-    """T^H x along axis 0, rotated out of the ``symmetric_basis``: real
-    coordinates (or complex combinations of them, such as eigenvectors)
-    back to column-stacked vectors on the space's own basis."""
-    d = space.dim
+def _from_coordinates(x: np.ndarray, d: int) -> np.ndarray:
+    """T^H x along axis 0: real coordinates (or complex combinations of
+    them, such as eigenvectors) to column-stacked vectors vec(V^T rho V) in
+    the ``symmetric_basis``."""
     n = (d * d - d) // 2
     re = math.sqrt(0.5) * x[d:d + n]
     im = 1j * math.sqrt(0.5) * x[d + n:]
-    out = np.empty(x.shape[::-1], dtype=complex)  # each vec(X) read row-major is X^T
-    out.T[_hermitian_order(d)[0]] = np.concatenate([x[:d], re + im, re - im])
+    out = np.empty(x.shape[::-1], dtype=complex).T  # a transposed stack, for from_real
+    out[_hermitian_order(d)[0]] = np.concatenate([x[:d], re + im, re - im])
+    return out
+
+
+def from_real(x: np.ndarray, space) -> np.ndarray:
+    """``_from_coordinates`` rotated out of the ``symmetric_basis``: real
+    coordinates back to column-stacked vectors on the space's own basis."""
+    d = space.dim
+    out = _from_coordinates(x, d).T  # each vec(X) read row-major is X^T
     return _rotated(out.reshape(-1, d, d), space.labels).reshape(x.shape[::-1]).T
 
 
@@ -369,26 +385,22 @@ class LiouvillianMatrix:
         return float(np.sort(np.abs(self._values(0).real))[1])
 
     def _eigenblock(self, b: int) -> Eigenblock:
-        """Block b's eigenpairs, mapped back to column-stacked vectors once
-        (cond(V) is unchanged: the map is an isometry).  The first block's
+        """Block b's eigenpairs, in R's coordinates.  The first block's
         conserve the trace, with the state of ``bordered_inverse()``, unless
         that is not unique (an undriven model)."""
         if b not in self._eigenblocks:
-            w, m = self.blocks()[b]
             try:
                 stationary = (self._trace(), self.bordered_inverse()[0][1][:, 0]) \
                     if b == 0 else None
             except DegenerateSteadyStateError:
                 stationary = None
-            self._eigenblocks[b] = Eigenblock.of(
-                m, lambda v: from_real(_scattered(v, w, self.dim ** 2), self.space),
-                stationary)
+            self._eigenblocks[b] = Eigenblock.of(self.blocks()[b][1], stationary)
         return self._eigenblocks[b]
 
-    def solution(self, rho0: np.ndarray):
+    def solution(self, rho0: np.ndarray, readout=None):
         """exp(L t) vec(rho0), a function of an array of times: the
         ``Mixture.solution`` of this generator alone."""
-        return Mixture([(1.0, self)]).solution(rho0)
+        return Mixture([(1.0, self)]).solution(rho0, readout)
 
 
 def _generator_rows(me: MasterEquation) -> np.ndarray:
@@ -435,12 +447,10 @@ def vectorize_sum(terms: list) -> LiouvillianMatrix:
 _TERM_FORMS: dict = {}  # per space, published with setdefault
 
 
-def full_generator(params: SystemParams) -> LiouvillianMatrix:
-    """``vectorize(build_master_equation(params))`` up to rounding, formed as
-    the ``TERMS`` coefficients' product with the rows' real forms, scattered
-    into R.  Those are ``vectorize``d once per space, on first use, and kept
-    read-only on the union of their nonzeros (1,532 of 20,736 at dim 12)."""
-    space = make_space(params)
+def _term_forms(space) -> tuple:
+    """``(nonzero, reals)``: the flat indices of the union of the ``TERMS``
+    rows' real forms' nonzeros (1,532 of 20,736 at dim 12), and each row's
+    values there.  ``vectorize``d once per space, on first use, read-only."""
     forms = _TERM_FORMS.get(space)
     if forms is None:
         # one row's R at a time, so that the peak stays a solve's
@@ -454,10 +464,43 @@ def full_generator(params: SystemParams) -> LiouvillianMatrix:
             row[where[nz]] = values
         forms = _TERM_FORMS.setdefault(
             space, (_readonly(np.flatnonzero(union)), _readonly(reals)))
-    nonzero, reals = forms
+    return forms
+
+
+def coefficients(params: SystemParams) -> np.ndarray:
+    """The ``TERMS`` coefficients c_k of params: ``full_generator``'s R is
+    sum_k c_k F_k, for the real forms F_k of ``_term_forms``."""
+    return np.array([c(params) for _, c, _ in TERMS])
+
+
+def full_generator(params: SystemParams) -> LiouvillianMatrix:
+    """``vectorize(build_master_equation(params))`` up to rounding, formed as
+    the ``coefficients``' product with the ``_term_forms``, scattered into R."""
+    space = make_space(params)
+    nonzero, reals = _term_forms(space)
     r = np.zeros(space.dim ** 4)
-    r[nonzero] = np.array([c(params) for _, c, _ in TERMS]) @ reals
+    r[nonzero] = coefficients(params) @ reals
     return LiouvillianMatrix(space, _readonly(r.reshape(space.dim ** 2, -1)))
+
+
+def steady_state_derivative(lv: LiouvillianMatrix, dc: np.ndarray) -> np.ndarray:
+    """d rho of ``steady_state(lv)``, to first order, when the
+    ``coefficients`` of the ``full_generator`` lv move by dc: the steady
+    state's linear response (Albert, Bradlyn, Fraas & Jiang, PRX 6, 041031
+    (2016)).  R x = 0 with tr x = 1 gives B dx = -(dR x) with the trace row
+    zeroed (tr dx = 0), for the B of ``bordered_inverse()``, whose inverse
+    is held, and dR = sum_k dc_k F_k, applied to x on its nonzeros alone."""
+    n, pairs = lv.dim ** 2, lv.bordered_inverse()
+    x = _scattered(pairs[0][1][:, 0], pairs[0][0], n)
+    nonzero, reals = _term_forms(lv.space)
+    rows, cols = np.divmod(nonzero, n)
+    rhs = -np.bincount(rows, weights=(dc @ reals) * x[cols], minlength=n)
+    rhs[0] = 0.0  # rho_00, the row B replaces by the trace
+    dx = np.zeros(n)
+    for w, inv in pairs:
+        w = slice(None) if w is None else w
+        dx[w] = inv @ rhs[w]
+    return unvec(from_real(dx, lv.space), lv.dim)
 
 
 @dataclass(frozen=True)
@@ -491,12 +534,15 @@ class Mixture:
         that one part's -0.0 entries keep their sign."""
         return functools.reduce(np.add, (w * steady_state(lv) for w, lv in self.parts))
 
-    def solution(self, rho0: np.ndarray):
-        """sum_c w_c exp(L_c t) vec(rho0), a function of an array of times."""
+    def solution(self, rho0: np.ndarray, readout=None):
+        """sum_c w_c exp(L_c t) vec(rho0), a function of an array of times.
+        The parts' modes are read out by ``readout(V)`` from R's
+        coordinates, by default by ``from_real`` to the space's own basis."""
         y0 = to_real(vec(rho0), self.space)
+        readout = readout or functools.partial(from_real, space=self.space)
         return superpose([(values, w * c, mapped) for w, lv in self.parts
                           for values, c, mapped in spectral_modes(
-                              lv.blocks(), y0, lv._eigenblock)])
+                              lv.blocks(), y0, lv._eigenblock, readout)])
 
     def gap(self) -> float:
         """The smallest of the parts' ``gap()``."""
@@ -661,12 +707,18 @@ def time_to_convergence(
     scan would, and a bisection in time refines it inside that interval:
     ~15 distances, not ~166.  The evolution is set up before the gap is
     read, so the gap reuses its blocks' eigenvalues.
+
+    The states are read from R's coordinates by T^H alone, as V^T rho V in
+    the ``symmetric_basis``, and compared with V^T rho_ss V: the orthogonal
+    V leaves the distance unchanged, so the modes are never rotated.
     """
-    solution = lv.solution(rho0)
+    d = lv.dim
+    solution = lv.solution(rho0, functools.partial(_from_coordinates, d=d))
     gap = lv.gap()
+    rho_ss = _rotated(rho_ss, lv.space.labels)
 
     def converged(t: float) -> bool:
-        w = np.linalg.eigvalsh(unvec(solution([t])[0], lv.dim) - rho_ss)
+        w = np.linalg.eigvalsh(unvec(solution([t])[0], d) - rho_ss)
         return 0.5 * np.abs(w).sum() <= CONVERGED_DISTANCE
 
     t_hi = 30.0 / gap

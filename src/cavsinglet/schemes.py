@@ -18,7 +18,7 @@ import warnings
 from typing import Callable, NamedTuple
 
 from . import effective, liouville, ratemodel
-from .errors import NoValidDriveError
+from .errors import NoValidDriveError, NumericalInstabilityError
 from .hilbert import named_state
 from .model import SystemParams
 
@@ -35,6 +35,14 @@ GAMMA_KAPPA_RATIO = DEFAULT_GAMMA_OVER_G / DEFAULT_KAPPA_OVER_G  # 12/5
 # Driving-induced error at which the benchmark table reads the gap and the
 # convergence time.
 DYNAMIC_ERROR = 0.02
+
+# Relative step of the central differences of the presets' coefficients in
+# Omega: truncation ~1e-10 and rounding ~1e-11 relative.
+DRIVE_STEP = 1e-5
+
+# Most solves the drive search makes after the weak drive's; bisection alone
+# meets the 1e-3 rule in about 13.
+DRIVE_SOLVES = 40
 
 
 class SchemeId(str, enum.Enum):
@@ -394,6 +402,26 @@ def effective_gap(comps: list[Component]) -> float:
         for c in comps]).gap()
 
 
+def fidelity_response(scheme: SchemeId | str, omega: float,
+                      **cavity) -> tuple[liouville.Mixture, float, float]:
+    """The scheme's ``full_model`` at drive ``omega`` (its ``components``
+    at the ``cavity`` rates), its ``mixture_fidelity``, and that fidelity's
+    derivative in Omega along the presets: the weighted <S| d rho |S> of the
+    parts' ``liouville.steady_state_derivative``, whose coefficient
+    derivatives are central differences of the presets alone, at omega (1
+    +- ``DRIVE_STEP``)."""
+    model = full_model(components(scheme, Omega=omega, **cavity))
+    up, down = omega * (1.0 + DRIVE_STEP), omega * (1.0 - DRIVE_STEP)
+    slope = 0.0
+    for (w, lv), hi, lo in zip(model.parts, components(scheme, Omega=up, **cavity),
+                               components(scheme, Omega=down, **cavity)):
+        dc = (liouville.coefficients(hi.params) - liouville.coefficients(lo.params))
+        s = named_state(lv.space, "S", photon=0)
+        d_rho = liouville.steady_state_derivative(lv, dc / (up - down))
+        slope += w * (s.conj() @ d_rho @ s).real
+    return model, mixture_fidelity(model), slope
+
+
 def drive_for_dynamic_error(
     scheme: SchemeId | str,
     g: float = 1.0,
@@ -405,70 +433,51 @@ def drive_for_dynamic_error(
     dynamic error is measured from, and the scheme's ``full_model`` at that
     drive, the last one the search solved.
 
-    S1 inverts its closed form.  Otherwise a secant on x = log Omega steps
-    along the log-log slope through the two latest errors (2, the Omega^2
-    of perturbation theory, from one) inside the bracket [gamma/10, gamma],
-    whose top grows x1.5 up to six times.  It bisects when a step leaves the
-    bracket or starts from an error <= 0 (WS is no power law), and after two
-    steps that failed to halve the bracket.  It returns the first evaluated
-    drive whose error is within 1e-3 relative of the target.
+    S1 inverts its closed form.  Otherwise each ``fidelity_response`` also
+    gives the error's slope.  The first step fits the dynamic error a
+    (Omega^2 - (gamma/10)^2) of perturbation theory to the weak drive's
+    slope; then Newton runs on log(error) against log(Omega).  A bracket
+    [gamma/10, 10 gamma] in log Omega is the safeguard: a step that leaves
+    it, or that has no positive error and slope to start from (WS is no
+    power law), bisects it, or solves its top while no drive has reached
+    the target.  It returns the first solved drive whose error is within
+    1e-3 relative of the target.
     """
     scheme = parse_scheme(scheme)
     gamma = DEFAULT_GAMMA_OVER_G * g if gamma is None else gamma
     kappa = DEFAULT_KAPPA_OVER_G * g if kappa is None else kappa
     C = g * g / (gamma * kappa)
-
-    model = None  # the model of the latest evaluation
-
-    def fidelity(omega: float) -> float:
-        nonlocal model
-        model = full_model(components(scheme, g=g, gamma=gamma, kappa=kappa,
-                                      Omega=omega))
-        return mixture_fidelity(model)
-
-    weak = fidelity(gamma / 10.0)
-    if scheme is SchemeId.S1:
-        # dynamic error (3/2C) sqrt(2) (Omega/gamma)^2 at the optimal microwave
-        omega = gamma * math.sqrt(DYNAMIC_ERROR * 2.0 * C / (3.0 * _SQRT2))
-        fidelity(omega)  # builds and solves the model there
-        return omega, weak, model
-
-    def dynamic_error(x: float) -> float:
-        return 1.0 - fidelity(math.exp(x)) - (1.0 - weak)
-
-    target = math.log(DYNAMIC_ERROR)
+    cavity, weak_drive = dict(g=g, gamma=gamma, kappa=kappa), gamma / 10.0
     with warnings.catch_warnings():
-        # the bracket top gamma and its growth exceed the preset's gamma/2
+        # steps may exceed the preset's gamma/2
         warnings.filterwarnings("ignore", message="Omega = .* exceeds gamma/2")
-        lo, hi = math.log(gamma / 10.0), math.log(gamma)
-        last = [(lo, 0.0), (hi, dynamic_error(hi))]
-        for _ in range(6):
-            if last[-1][1] >= DYNAMIC_ERROR:
-                break
-            lo, hi = hi, hi + math.log(1.5)
-            last.append((hi, dynamic_error(hi)))
-        if last[-1][1] < DYNAMIC_ERROR:
-            raise ValueError(
-                f"could not bracket a {DYNAMIC_ERROR:.3g} dynamic error for {scheme} "
-                f"(reached Omega = {math.exp(hi):.3g})"
-            )
-        slow = 0  # secant steps in a row that failed to halve the bracket
-        while abs(last[-1][1] - DYNAMIC_ERROR) > 1e-3 * DYNAMIC_ERROR:
-            (x0, f0), (x1, f1) = last[-2:]
-            secant = f1 > 0.0 and slow < 2
-            if secant:
-                slope = math.log(f1 / f0) / (x1 - x0) if f0 > 0.0 else 2.0
-                step = x1 + (target - math.log(f1)) / slope if slope > 0.0 else lo
-                secant = lo < step < hi
-            if not secant:
-                step, slow = 0.5 * (lo + hi), 0
-                if step in (lo, hi):
-                    break  # the bracket is as narrow as floats allow
-            width = hi - lo
-            last.append((step, dynamic_error(step)))
-            if last[-1][1] < DYNAMIC_ERROR:
-                lo = step
+        _, weak, slope = fidelity_response(scheme, weak_drive, **cavity)
+        if scheme is SchemeId.S1:
+            # dynamic error (3/2C) sqrt(2) (Omega/gamma)^2 at the optimal microwave
+            omega = gamma * math.sqrt(DYNAMIC_ERROR * 2.0 * C / (3.0 * _SQRT2))
+            return omega, weak, fidelity_response(scheme, omega, **cavity)[0]
+
+        lo, hi = math.log(weak_drive), math.log(10.0 * gamma)
+        reached = False  # whether a solved drive, hi, reached the target
+        x = lo + 0.5 * math.log1p(2.0 * DYNAMIC_ERROR / (-slope * weak_drive)) \
+            if slope < 0.0 else math.nan
+        for _ in range(DRIVE_SOLVES):
+            if not lo < x < hi:
+                x = 0.5 * (lo + hi) if reached else hi
+            model, fidelity, slope = fidelity_response(scheme, math.exp(x), **cavity)
+            error = weak - fidelity
+            if abs(error - DYNAMIC_ERROR) <= 1e-3 * DYNAMIC_ERROR:
+                return math.exp(x), weak, model
+            if error >= DYNAMIC_ERROR:
+                hi, reached = x, True
+            elif x == hi:
+                raise ValueError(
+                    f"could not bracket a {DYNAMIC_ERROR:.3g} dynamic error for "
+                    f"{scheme} (reached Omega = {math.exp(hi):.3g})")
             else:
-                hi = step
-            slow = slow + 1 if secant and hi - lo > 0.5 * width else 0
-        return math.exp(last[-1][0]), weak, model
+                lo = x
+            # d log(error) / d log(Omega) = -Omega slope / error
+            x += math.log(DYNAMIC_ERROR / error) * error / (-slope * math.exp(x)) \
+                if error > 0.0 and slope < 0.0 else math.nan
+    raise NumericalInstabilityError(
+        f"the drive search for {scheme} did not converge in {DRIVE_SOLVES} solves")

@@ -730,6 +730,28 @@ class TestSpectralEvolution:
         with pytest.raises(NumericalInstabilityError, match=r"cond\(V\)"):
             evolve_spectral(lv, rho0, [1.0])
 
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(
+        scheme=st.sampled_from(["S1", "S0", "T1", "T0", "WS"]),
+        log10_c=st.floats(1.0, 3.0),
+        omega_over_gamma=st.floats(0.05, 0.5),
+    )
+    def test_real_form_singular_values_are_those_of_v(
+            self, scheme, log10_c, omega_over_gamma):
+        # [V_real, sqrt2 Re V_+, sqrt2 Im V_+] is V times a unitary
+        gamma, kappa = cavity_rates_for_cooperativity(10.0 ** log10_c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # regime warnings from preset
+            lv = full_generator(preset(scheme, gamma=gamma, kappa=kappa,
+                                       Omega=omega_over_gamma * gamma))
+        for b in range(len(lv.blocks())):
+            e = lv._eigenblock(b)
+            ref = np.linalg.svd(e.vectors, compute_uv=False)
+            assert len(e.singular) == len(ref)
+            assert np.abs(np.sort(e.singular) - np.sort(ref)).max() <= 1e-12 * ref.max()
+            cond = e.singular.max() / e.singular.min()
+            assert cond == pytest.approx(ref.max() / ref.min(), rel=1e-12)
+
     def test_time_to_convergence(self, strong_drive_run):
         me, lv, traj, rho_ss = strong_drive_run
         rho0 = mixed_ground_state(me.space)
@@ -902,6 +924,7 @@ class TestMixture:
         # one part of weight 1 is that part, bit for bit
         lv = parts[0][1]
         one = Mixture([(1.0, lv)])
-        modes = spectral_modes(lv.blocks(), to_real(vec(rho0), lv.space), lv._eigenblock)
+        modes = spectral_modes(lv.blocks(), to_real(vec(rho0), lv.space), lv._eigenblock,
+                               lambda v: from_real(v, lv.space))
         assert signed_equal(one.solution(rho0)(times), superpose(modes)(times))
         assert signed_equal(one.steady_state(), steady_state(lv))
