@@ -10,7 +10,7 @@ fidelity and convergence benchmarks numerically and analytically.
 __version__ = "0.1.0"
 
 from .hilbert import HilbertSpace, build_space, named_state
-from .model import MasterEquation, SystemParams, build_master_equation, make_space
+from .model import MasterEquation, SystemParams, make_space
 from .liouville import (
     SpectrumReport,
     Trajectory,
@@ -21,25 +21,17 @@ from .liouville import (
     steady_state,
     vectorize,
 )
-from .effective import (
-    EffectiveModel,
-    GroundBasis,
-    PartitionedModel,
-    partition,
-    reduce,
-    reduce_dressed,
-)
+from .effective import EffectiveModel, GroundBasis, reduce, reduce_dressed
 from .schemes import SchemeId, gap_analytic, preset, static_error
 from .ratemodel import DressedBasis, RateMatrix, build_dressed_basis, build_rates
 
 __all__ = [
     "HilbertSpace", "build_space", "named_state",
-    "MasterEquation", "SystemParams", "build_master_equation", "make_space",
+    "MasterEquation", "SystemParams", "make_space",
     "SpectrumReport", "Trajectory", "fidelity",
     "mixed_ground_state", "propagate", "spectral_gap", "steady_state",
     "vectorize",
-    "EffectiveModel", "GroundBasis", "PartitionedModel", "partition",
-    "reduce", "reduce_dressed",
+    "EffectiveModel", "GroundBasis", "reduce", "reduce_dressed",
     "SchemeId", "gap_analytic", "preset", "static_error",
     "DressedBasis", "RateMatrix", "build_dressed_basis", "build_rates",
     "__version__",

@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, effective, liouville, ratemodel, schemes
-from .model import make_space
 from .schemes import SchemeId, parse_scheme
 
 DEFAULT_G_MHZ = 16.0  # g / 2 pi, reference cavity
@@ -63,8 +62,13 @@ def build_components(args) -> list[schemes.Component]:
                               kappa=kappa, Omega=omega, Omega_MW=omega_mw)
 
 
+# Where a run writes is not part of what it computes.
+_OUTPUT_KEYS = ("out", "record")
+
+
 def config_hash(config: dict) -> str:
-    clean = {k: v for k, v in config.items() if not callable(v)}
+    clean = {k: v for k, v in config.items()
+             if not callable(v) and k not in _OUTPUT_KEYS}
     canon = json.dumps(clean, sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
@@ -84,16 +88,34 @@ def run_record(scheme: str, comps: list[schemes.Component], outputs: list[dict],
     }
 
 
+def _is_stdout(st: os.stat_result) -> bool:
+    """Whether ``st`` is the file that ``sys.stdout`` writes to."""
+    try:
+        out = os.fstat(sys.stdout.fileno())
+    except (OSError, ValueError):  # a stream with no file descriptor
+        return False
+    return (out.st_dev, out.st_ino) == (st.st_dev, st.st_ino)
+
+
 @contextlib.contextmanager
 def _rewritten(path: Path):
     """A text file at ``path`` to write over in place: opened without
     truncating, and cut at the end of what was written if it is a regular
     file (a pipe or a device such as /dev/null has no tail, and refuses
     the cut).  On ext4 a truncation to zero followed by close forces a
-    flush (``auto_da_alloc``), and so does a rename over the old file."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as fh:
+    flush (``auto_da_alloc``), and so does a rename over the old file.
+
+    stdout's own file (``--out /dev/stdout``) is written through
+    ``sys.stdout``: a second descriptor would start at offset 0 of a
+    regular file, over the lines ``print`` has written or still buffers."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    if _is_stdout(os.fstat(fd)):
+        os.close(fd)
+        yield sys.stdout
+        return
+    with open(fd, "w", newline="") as fh:
         yield fh
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        if stat.S_ISREG(os.fstat(fd).st_mode):
             fh.truncate()
 
 
@@ -284,9 +306,9 @@ def _initial_state(spec: str, space) -> np.ndarray:
 GENERATORS = {
     "full": liouville.full_generator,
     "effective": lambda p: liouville.vectorize(
-        effective.reduce(effective.partition(p)).as_master_equation()),
+        effective.reduce(p).as_master_equation()),
     "dressed_effective": lambda p: liouville.vectorize(
-        effective.reduce_dressed(effective.partition(p)).as_master_equation()),
+        effective.reduce_dressed(p).as_master_equation()),
 }
 
 
@@ -306,8 +328,7 @@ def cmd_trajectory(args) -> int:
                 rm = schemes.rate_model(args.scheme, params)
                 db = ratemodel.build_dressed_basis(params.Omega_MW, params.beta)
                 # populations in the (00, T, 11, S) order of the ground basis
-                bare0 = np.diag(_initial_state(
-                    args.rho0, effective.GroundBasis(make_space(params)))).real
+                bare0 = np.diag(_initial_state(args.rho0, effective.GROUND)).real
                 # dressed populations map to bare ones through the squared
                 # basis-change amplitudes (diagonal-density approximation)
                 weights = db.transform() ** 2
@@ -342,8 +363,7 @@ def cmd_reduce(args) -> int:
         raise ValueError(f"reduce needs one model, but {args.scheme} is a "
                          f"mixture of {' and '.join(str(c.scheme) for c in comps)}")
     params = comps[0].params
-    pm = effective.partition(params)
-    model = effective.reduce_dressed(pm) if args.dressed else effective.reduce(pm)
+    model = (effective.reduce_dressed if args.dressed else effective.reduce)(params)
     rates = {
         k: ([v.real, v.imag] if isinstance(v, complex) else float(v))
         for k, v in effective.effective_rates(params).items()

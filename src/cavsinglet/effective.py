@@ -1,137 +1,99 @@
-"""Adiabatic elimination of the decaying singly-excited manifold.
+"""Adiabatic elimination of the decaying singly-excited manifold by the
+effective operator formalism (Reiter & Soerensen, PRA 85, 032111 (2012)),
+in both the plain and the microwave-dressed variants.
 
-Builds the non-Hermitian propagator of the excited states and the
-ground-manifold effective Hamiltonian and decay operators, in both the plain
-and the microwave-dressed variants.
-
-The ground sector is the span of the four zero-photon, zero-excitation
-states ordered (00, T, 11, S); everything else (atomic excitations and
-cavity-excited ground combinations) belongs to the eliminated sector.
+The reduction reads three pieces of the model off the ``TERMS`` rows, each
+row's operator rotated once into the ``symmetric_basis`` and restricted by
+index sets: the non-Hermitian Hamiltonian H_NH on the excited sector, V+
+from the ground sector to it, and the jumps back.  In that basis the ground
+sector, the four zero-photon, zero-excitation states ordered (00, T, 11,
+S), is the index set of (0,0,0), (0,1,0), (1,1,0) and (1,0,0); the excited
+sector (atomic excitations and cavity-excited ground combinations) is every
+label with an excitation.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NumericalInstabilityError
-from .hilbert import HilbertSpace, excitation_count, named_state
-from .model import (
-    MasterEquation,
-    SystemParams,
-    build_Hg,
-    build_He,
-    build_lindblads,
-    build_V,
-    make_space,
-)
+from .hilbert import excitation_count
+from .liouville import _rotated
+from .model import TERMS, MasterEquation, SystemParams, make_space
 
 GROUND_LABELS = ("00", "T", "11", "S")
+
+# The symmetric-basis labels of (00, T, 11, S): a pair's first label is its
+# sum, its second its difference.
+_GROUND_INDEX_LABELS = (("0", "0", 0), ("0", "1", 0), ("1", "1", 0), ("1", "0", 0))
 
 _SQRT2 = math.sqrt(2.0)
 
 
 class GroundBasis:
-    """Four-state ground sector of a parent space, ordered (00, T, 11, S)."""
+    """The four-state ground sector ordered (00, T, 11, S), the space of an
+    effective model; it is its own ``symmetric_basis``."""
 
-    def __init__(self, parent: HilbertSpace):
-        self.parent = parent
-        self.labels = GROUND_LABELS
-        self.embed = np.column_stack(
-            [named_state(parent, name, photon=0) for name in GROUND_LABELS]
-        )
-
-    @property
-    def dim(self) -> int:
-        return 4
-
-    def __repr__(self):
-        return f"GroundBasis(parent={self.parent!r})"
-
-    def restrict(self, full_matrix: np.ndarray) -> np.ndarray:
-        """Project a parent-space matrix onto the 4x4 ground block."""
-        return self.embed.conj().T @ full_matrix @ self.embed
+    labels = GROUND_LABELS
+    dim = 4
 
 
-@dataclass(frozen=True)
-class PartitionedModel:
-    """Drive-free Hamiltonian, drive terms and decay channels, partitioned."""
+GROUND = GroundBasis()
 
-    params: SystemParams
-    space: HilbertSpace
-    ground: GroundBasis
-    H0: np.ndarray          # H_g + H_e, every non-drive coupling
+
+class Blocks(NamedTuple):
+    """The pieces of the reduction in the ``symmetric_basis``: H_g on the
+    ground sector, H_NH = H - (i/2) sum_k L_k^dag L_k on the excited one
+    (its labels in the space's order), V+ from ground to excited, and each
+    jump from excited to ground."""
+
+    H_g: np.ndarray
+    H_NH: np.ndarray
     V_plus: np.ndarray
-    V_minus: np.ndarray
-    lindblads: dict[str, np.ndarray]
-    excited_idx: np.ndarray
+    jumps: dict[str, np.ndarray]
 
 
-def partition(params: SystemParams, space: HilbertSpace | None = None) -> PartitionedModel:
-    """Split the full model into ground sector, excited sector and drive."""
-    if space is None:
-        space = make_space(params)
-    ground = GroundBasis(space)
-    v_plus, v_minus = build_V(params, space)
-    excited_idx = np.array(
-        [i for i, lb in enumerate(space.labels) if excitation_count(lb) > 0], dtype=int
-    )
-    return PartitionedModel(
-        params=params,
-        space=space,
-        ground=ground,
-        H0=build_Hg(params, space) + build_He(params, space),
-        V_plus=v_plus,
-        V_minus=v_minus,
-        lindblads=build_lindblads(params, space),
-        excited_idx=excited_idx,
-    )
-
-
-def build_hnh(pm: PartitionedModel) -> np.ndarray:
-    """Non-Hermitian Hamiltonian of the excited sector.
-
-    P_e (H0 - i/2 sum_k L_k^dag L_k) P_e, kept as a full-dimension matrix
-    supported on the excited block.
-    """
-    decay = sum(op.conj().T @ op for op in pm.lindblads.values())
-    full = pm.H0 - 0.5j * decay
-    idx = pm.excited_idx
-    out = np.zeros_like(full)
-    out[np.ix_(idx, idx)] = full[np.ix_(idx, idx)]
-    return out
-
-
-def invert_hnh(hnh: np.ndarray, excited_idx: np.ndarray) -> np.ndarray:
-    """Inverse of a (possibly energy-shifted) non-Hermitian Hamiltonian on
-    its excited block; the one propagator inverse of both reductions."""
-    block = hnh[np.ix_(excited_idx, excited_idx)]
-    cond = np.linalg.cond(block)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise NumericalInstabilityError(
-            f"excited block is numerically singular (cond ~ {cond:.2e})"
-        )
-    inv_block = np.linalg.inv(block)
-    out = np.zeros_like(hnh)
-    out[np.ix_(excited_idx, excited_idx)] = inv_block
-    return out
+def elimination_blocks(params: SystemParams) -> Blocks:
+    """The ``Blocks`` of params' model, each ``TERMS`` row's operator rotated
+    and restricted to the sectors before the rows are summed."""
+    space = make_space(params)
+    g = np.array([space.index(lb) for lb in _GROUND_INDEX_LABELS])
+    e = np.array([i for i, lb in enumerate(space.labels) if excitation_count(lb)])
+    rows, jumps = {"H": [], "V": []}, {}
+    for kind, coefficient, operator in TERMS:
+        c, op = coefficient(params), operator(space)
+        if kind == "jumps":
+            jumps.update((name, math.sqrt(c) * l) for name, l in op.items())
+        else:
+            rows["V" if kind == "V" else "H"].append(c * op)
+    h, v, ls = (_rotated(np.array(x), space.labels)
+                for x in (rows["H"], rows["V"], list(jumps.values())))
+    # each row's half of its Hermitian term, restricted, then summed
+    h_g = h[:, g[:, None], g].sum(axis=0)
+    h_e = h[:, e[:, None], e].sum(axis=0)
+    ls = ls[..., e]  # each jump's columns on the excited sector
+    h_nh = h_e + h_e.conj().T \
+        - 0.5j * np.tensordot(ls.conj(), ls, axes=([0, 1], [0, 1]))
+    return Blocks(h_g + h_g.conj().T, h_nh, v[:, e[:, None], g].sum(axis=0),
+                  dict(zip(jumps, ls[:, g])))
 
 
 class EffectiveModel:
     """Ground-sector effective Hamiltonian and decay operators."""
 
+    ground = GROUND
+
     def __init__(
         self,
-        ground: GroundBasis,
         H_eff: np.ndarray,
         L_effs: dict[str, np.ndarray],
         dressed: bool = False,
         ground_energies: tuple[float, ...] | None = None,
     ):
-        self.ground = ground
         self.H_eff = np.asarray(H_eff, dtype=complex)
         self.L_effs = {k: np.asarray(v, dtype=complex) for k, v in L_effs.items()}
         self.dressed = dressed
@@ -158,66 +120,41 @@ class EffectiveModel:
         return json.dumps(payload, indent=1)
 
 
-def reduce(pm: PartitionedModel) -> EffectiveModel:
+def _reduced(blocks: Blocks, energies: np.ndarray, vectors: np.ndarray) -> tuple:
+    """H_eff and the L_effs of the ground states ``vectors`` (columns) of
+    energies E_l: each is excited through its shifted propagator, K = sum_l
+    (H_NH - E_l)^(-1) V+ v_l v_l^dag, one batched solve; then H_eff = -1/2
+    (V- K + h.c.) + H_g and L_eff = L K.  A shifted block with cond > 1e14
+    raises ``NumericalInstabilityError``."""
+    shifted = blocks.H_NH - energies[:, None, None] * np.eye(len(blocks.H_NH))
+    cond = np.linalg.cond(shifted).max()
+    if not np.isfinite(cond) or cond > 1e14:
+        raise NumericalInstabilityError(
+            f"excited block is numerically singular (cond ~ {cond:.2e})"
+        )
+    rhs = (blocks.V_plus @ vectors).T[..., None]
+    kernel = np.linalg.solve(shifted, rhs)[..., 0].T @ vectors.conj().T
+    half = blocks.V_plus.conj().T @ kernel
+    h_eff = -0.5 * (half + half.conj().T) + blocks.H_g
+    return h_eff, {name: op @ kernel for name, op in blocks.jumps.items()}
+
+
+def reduce(params: SystemParams) -> EffectiveModel:
     """Second-order effective model: the dressed reduction with every ground
     energy set to zero, so one propagator H_NH^(-1) serves all ground states."""
-    model = reduce_dressed(pm, ground_energies=np.zeros(pm.ground.dim))
-    return EffectiveModel(model.ground, model.H_eff, model.L_effs)
+    return EffectiveModel(*_reduced(elimination_blocks(params), np.zeros(4), np.eye(4)))
 
 
-def ground_hamiltonian_block(pm: PartitionedModel) -> np.ndarray:
-    return pm.ground.restrict(pm.H0)
-
-
-def reduce_dressed(
-    pm: PartitionedModel,
-    ground_energies: np.ndarray | None = None,
-) -> EffectiveModel:
+def reduce_dressed(params: SystemParams) -> EffectiveModel:
     """Effective model with ground-state energies kept in the propagators.
 
     Each ground eigenstate l of energy E_l is excited through the shifted
     propagator (H_NH - E_l)^(-1), the shift covering the whole excited block.
     """
-    hg_block = ground_hamiltonian_block(pm)
-    evals, evecs = np.linalg.eigh(hg_block)
-    if ground_energies is not None:
-        evals = np.asarray(ground_energies, dtype=float)
-    idx = pm.excited_idx
-    hnh = build_hnh(pm)
-    vp = pm.V_plus
-    g = pm.ground
-
-    # Group degenerate energies: the summed projector over a degenerate set
-    # is basis independent.
-    scale = max(float(np.abs(evals).max()), 1.0)
-    groups: list[tuple[float, list[int]]] = []
-    for i, e in enumerate(evals):
-        for j, (e0, members) in enumerate(groups):
-            if abs(e - e0) <= 1e-12 * scale:
-                members.append(i)
-                break
-        else:
-            groups.append((float(e), [i]))
-
-    kernel = np.zeros((pm.space.dim, pm.space.dim), dtype=complex)
-    for e0, members in groups:
-        proj4 = sum(
-            np.outer(evecs[:, i], evecs[:, i].conj()) for i in members
-        )
-        proj_full = g.embed @ proj4 @ g.embed.conj().T
-        shifted = hnh.copy()
-        shifted[np.ix_(idx, idx)] -= e0 * np.eye(len(idx))
-        inv = invert_hnh(shifted, idx)
-        kernel += inv @ vp @ proj_full
-
-    half = pm.V_minus @ kernel
-    h_eff = g.restrict(-0.5 * (half + half.conj().T)) + hg_block
-    l_effs = {
-        name: g.restrict(op @ kernel) for name, op in pm.lindblads.items()
-    }
-    return EffectiveModel(
-        g, h_eff, l_effs, dressed=True, ground_energies=tuple(float(e) for e in evals)
-    )
+    blocks = elimination_blocks(params)
+    energies, vectors = np.linalg.eigh(blocks.H_g)
+    return EffectiveModel(*_reduced(blocks, energies, vectors), dressed=True,
+                          ground_energies=tuple(float(e) for e in energies))
 
 
 def effective_rates(params: SystemParams) -> dict[str, complex]:
@@ -259,7 +196,7 @@ def _ket_bra(ket: str, bra: str) -> np.ndarray:
 
 
 def simplified_dark_state_operators(
-    params: SystemParams, space: HilbertSpace | None = None, dressed: bool = True
+    params: SystemParams, dressed: bool = True
 ) -> EffectiveModel:
     """Closed-form ground-sector operators of the dark-state scheme.
 
@@ -269,9 +206,6 @@ def simplified_dark_state_operators(
     chi_a channels, and adds the cavity-mediated feeding of the singlet
     from 00.
     """
-    if space is None:
-        space = make_space(params)
-    ground = GroundBasis(space)
     r = effective_rates(params)
     sq_gd = math.sqrt(r["gamma_d"])
     sq_ge = math.sqrt(r["gamma_eff"])
@@ -311,4 +245,4 @@ def simplified_dark_state_operators(
     h_eff += params.beta * (
         2.0 * _ket_bra("11", "11") + _ket_bra("T", "T") + _ket_bra("S", "S")
     )
-    return EffectiveModel(ground, h_eff, l_effs, dressed=dressed)
+    return EffectiveModel(h_eff, l_effs, dressed=dressed)

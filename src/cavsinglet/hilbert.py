@@ -144,48 +144,15 @@ _TWO_ATOM_STATES: dict[str, dict[tuple[str, str], complex]] = {
 }
 
 
-def named_state(
-    space: HilbertSpace,
-    name: str,
-    photon: int = 0,
-    b: float = 0.0,
-    Omega_MW: float = 0.0,
-) -> np.ndarray:
+def named_state(space: HilbertSpace, name: str, photon: int = 0) -> np.ndarray:
     """Return a named two-atom state tensored with a cavity Fock state, as
-    a unit vector on the basis of ``space``.
-
-    ``psiS`` and ``psi1`` are the dark and bright combinations of ``11`` and
-    ``S`` under a ground Hamiltonian with microwave coupling ``Omega_MW`` and
-    antisymmetric level shift ``b``:
-
-        psiS = (sqrt(2) b |11> + Omega_MW |S>) / sqrt(2 b^2 + Omega_MW^2)
-        psi1 = (Omega_MW |11> - sqrt(2) b |S>) / sqrt(2 b^2 + Omega_MW^2)
-
-    The sqrt(2) weight on ``b`` makes psiS a zero eigenvector of the actual
-    triplet-singlet coupling (microwave matrix element Omega_MW/sqrt(2),
-    singlet-triplet matrix element -b); at b = 0 psiS reduces to the singlet.
-    """
+    a unit vector on the basis of ``space``."""
     if photon < 0 or photon > space.n_max:
         raise ValueError(f"photon number {photon} outside 0..{space.n_max}")
-    if name in _TWO_ATOM_STATES:
-        pairs = _TWO_ATOM_STATES[name]
-    elif name in ("psiS", "psi1"):
-        norm = math.sqrt(2.0 * b * b + Omega_MW * Omega_MW)
-        if norm == 0.0:
-            raise ValueError(f"{name} requires b or Omega_MW nonzero")
-        s_amp = _TWO_ATOM_STATES["S"]
-        if name == "psiS":
-            w11, ws = _SQRT2 * b / norm, Omega_MW / norm
-        else:
-            w11, ws = Omega_MW / norm, -_SQRT2 * b / norm
-        pairs = {("1", "1"): w11}
-        for k, amp in s_amp.items():
-            pairs[k] = pairs.get(k, 0.0) + ws * amp
-    else:
+    if name not in _TWO_ATOM_STATES:
         raise ValueError(f"unknown state name {name!r}")
-
     v = np.zeros(space.dim, dtype=complex)
-    for (a1, a2), amp in pairs.items():
+    for (a1, a2), amp in _TWO_ATOM_STATES[name].items():
         label = (a1, a2, photon)
         if label not in space.index_map:
             raise ValueError(f"state {name!r} with photon={photon} is excluded "

@@ -474,8 +474,8 @@ def coefficients(params: SystemParams) -> np.ndarray:
 
 
 def full_generator(params: SystemParams) -> LiouvillianMatrix:
-    """``vectorize(build_master_equation(params))`` up to rounding, formed as
-    the ``coefficients``' product with the ``_term_forms``, scattered into R."""
+    """The generator of the full ``TERMS`` model of params, formed as the
+    ``coefficients``' product with the ``_term_forms``, scattered into R."""
     space = make_space(params)
     nonzero, reals = _term_forms(space)
     r = np.zeros(space.dim ** 4)

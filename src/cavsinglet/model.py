@@ -125,49 +125,6 @@ TERMS = (
 )
 
 
-def _hamiltonian(part: str, params: SystemParams, space: HilbertSpace) -> np.ndarray:
-    h = np.zeros((space.dim, space.dim), dtype=complex)
-    for kind, coefficient, half in TERMS:
-        if kind == part:
-            a = coefficient(params) * half(space)
-            h += a + a.conj().T
-    return h
-
-
-def build_Hg(params: SystemParams, space: HilbertSpace) -> np.ndarray:
-    """Ground-manifold Hamiltonian: microwave coupling plus level-1 shifts.
-
-    H_g = Omega_MW/2 sum_j (|1><0|_j + h.c.) + sum_j (beta + s_j b)|1><1|_j
-    with s_1 = +1, s_2 = -1, so that <S|H_g|T> = -b.
-    """
-    return _hamiltonian("Hg", params, space)
-
-
-def build_He(params: SystemParams, space: HilbertSpace) -> np.ndarray:
-    """Excited-manifold Hamiltonian: detunings plus the atom-cavity exchange.
-
-    Per-atom couplings are g (1 + alpha) and g (1 - alpha).
-    """
-    return _hamiltonian("He", params, space)
-
-
-def build_V(params: SystemParams, space: HilbertSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Optical drive split into the excitation part V+ and V- = V+ adjoint.
-
-    V+ = Omega/2 (|e><0|_1 + e^{i phi} |e><0|_2); phi = pi crosses the
-    triplet and singlet sectors, phi = 0 stays within them.
-    """
-    v_plus = sum(c(params) * half(space) for kind, c, half in TERMS if kind == "V")
-    return v_plus, v_plus.conj().T
-
-
-def build_lindblads(params: SystemParams, space: HilbertSpace) -> dict[str, np.ndarray]:
-    """Cavity loss and spontaneous emission with equal gamma/2 branching."""
-    return {name: math.sqrt(c(params)) * op
-            for kind, c, jumps in TERMS if kind == "jumps"
-            for name, op in jumps(space).items()}
-
-
 @dataclass(frozen=True)
 class MasterEquation:
     """A Hamiltonian plus labeled Lindblad operators, full or effective,
@@ -191,21 +148,6 @@ class MasterEquation:
     @property
     def dim(self) -> int:
         return self.space.dim
-
-
-def build_hamiltonian(params: SystemParams, space: HilbertSpace) -> np.ndarray:
-    v_plus, v_minus = build_V(params, space)
-    return build_Hg(params, space) + build_He(params, space) + v_plus + v_minus
-
-
-def build_master_equation(
-    params: SystemParams, space: HilbertSpace | None = None
-) -> MasterEquation:
-    """Full Lindblad model on the truncated space."""
-    if space is None:
-        space = make_space(params)
-    return MasterEquation(space, build_hamiltonian(params, space),
-                          build_lindblads(params, space))
 
 
 def term_equations(space: HilbertSpace) -> list[MasterEquation]:

@@ -398,7 +398,7 @@ def effective_gap(comps: list[Component]) -> float:
     counterpart of the analytic gap, the weighted mean of the components'
     closed forms derived from the same effective operators."""
     return liouville.vectorize_sum([
-        (c.weight, effective.reduce(effective.partition(c.params)).as_master_equation())
+        (c.weight, effective.reduce(c.params).as_master_equation())
         for c in comps]).gap()
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from cavsinglet import liouville
-from cavsinglet.model import build_master_equation
 from cavsinglet.schemes import SchemeId, preset
+from oracles import build_master_equation
 
 
 @pytest.fixture(scope="session")

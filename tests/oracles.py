@@ -1,22 +1,149 @@
-"""Oracles and validators that only the tests use: the master equation's
-right-hand side evaluated directly, the complex form of a generator, the
+"""Oracles and validators that only the tests use: the full-size model
+builders (the ground, excited, drive and jump operators of the ``TERMS``
+rows, summed on the whole space), the plain effective-operator formula on
+them, the master equation's right-hand side evaluated directly, the
+complex form of a generator, the ``symmetric_basis`` states, the
 closed-form propagator entries of the excited sector, S1's closed-form
 error against the drive, a scheme's full-model fidelity, basis vectors, and
-the structural checks of density matrices, partitioned models and rate
-matrices."""
+the structural checks of density matrices and rate matrices."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from cavsinglet.effective import GroundBasis, PartitionedModel
 from cavsinglet.errors import NumericalInstabilityError
-from cavsinglet.hilbert import HilbertSpace, Label
-from cavsinglet.liouville import LiouvillianMatrix, from_real
-from cavsinglet.model import MasterEquation, SystemParams
+from cavsinglet.hilbert import HilbertSpace, Label, excitation_count, named_state
+from cavsinglet.liouville import LiouvillianMatrix, from_real, symmetric_basis
+from cavsinglet.model import TERMS, MasterEquation, SystemParams, make_space
 from cavsinglet.ratemodel import RateMatrix
 from cavsinglet.schemes import components, full_model, mixture_fidelity
+
+
+def _hamiltonian(part: str, params: SystemParams, space: HilbertSpace) -> np.ndarray:
+    h = np.zeros((space.dim, space.dim), dtype=complex)
+    for kind, coefficient, half in TERMS:
+        if kind == part:
+            a = coefficient(params) * half(space)
+            h += a + a.conj().T
+    return h
+
+
+def build_Hg(params: SystemParams, space: HilbertSpace) -> np.ndarray:
+    """Ground-manifold Hamiltonian: microwave coupling plus level-1 shifts.
+
+    H_g = Omega_MW/2 sum_j (|1><0|_j + h.c.) + sum_j (beta + s_j b)|1><1|_j
+    with s_1 = +1, s_2 = -1, so that <S|H_g|T> = -b.
+    """
+    return _hamiltonian("Hg", params, space)
+
+
+def build_He(params: SystemParams, space: HilbertSpace) -> np.ndarray:
+    """Excited-manifold Hamiltonian: detunings plus the atom-cavity exchange.
+
+    Per-atom couplings are g (1 + alpha) and g (1 - alpha).
+    """
+    return _hamiltonian("He", params, space)
+
+
+def build_V(params: SystemParams, space: HilbertSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Optical drive split into the excitation part V+ and V- = V+ adjoint.
+
+    V+ = Omega/2 (|e><0|_1 + e^{i phi} |e><0|_2); phi = pi crosses the
+    triplet and singlet sectors, phi = 0 stays within them.
+    """
+    v_plus = sum(c(params) * half(space) for kind, c, half in TERMS if kind == "V")
+    return v_plus, v_plus.conj().T
+
+
+def build_lindblads(params: SystemParams, space: HilbertSpace) -> dict[str, np.ndarray]:
+    """Cavity loss and spontaneous emission with equal gamma/2 branching."""
+    return {name: math.sqrt(c(params)) * op
+            for kind, c, jumps in TERMS if kind == "jumps"
+            for name, op in jumps(space).items()}
+
+
+def build_hamiltonian(params: SystemParams, space: HilbertSpace) -> np.ndarray:
+    v_plus, v_minus = build_V(params, space)
+    return build_Hg(params, space) + build_He(params, space) + v_plus + v_minus
+
+
+def build_master_equation(
+    params: SystemParams, space: HilbertSpace | None = None
+) -> MasterEquation:
+    """Full Lindblad model on the truncated space."""
+    if space is None:
+        space = make_space(params)
+    return MasterEquation(space, build_hamiltonian(params, space),
+                          build_lindblads(params, space))
+
+
+def ground_embedding(space: HilbertSpace) -> np.ndarray:
+    """Columns |00>, |T>, |11>, |S> with no photon, on the space's basis."""
+    return np.column_stack([named_state(space, name) for name in ("00", "T", "11", "S")])
+
+
+def excited_indices(space: HilbertSpace) -> np.ndarray:
+    return np.array([i for i, lb in enumerate(space.labels) if excitation_count(lb)])
+
+
+def non_hermitian_hamiltonian(params: SystemParams, space: HilbertSpace) -> np.ndarray:
+    """H_g + H_e - (i/2) sum_k L_k^dag L_k on the whole space."""
+    decay = sum(op.conj().T @ op for op in build_lindblads(params, space).values())
+    return build_Hg(params, space) + build_He(params, space) - 0.5j * decay
+
+
+def plain_reduction(params: SystemParams) -> tuple[np.ndarray, dict]:
+    """The plain effective operators on the ground sector, H_eff = -1/2 V-
+    (H_NH^-1 + h.c.) V+ + H_g and L_eff = L H_NH^-1 V+, from the full-size
+    product-basis operators, H_NH inverted on its excited block and zero
+    elsewhere."""
+    space = make_space(params)
+    e = excited_indices(space)
+    hnh = non_hermitian_hamiltonian(params, space)
+    inv = np.zeros_like(hnh)
+    inv[np.ix_(e, e)] = np.linalg.inv(hnh[np.ix_(e, e)])
+    vp, vm = build_V(params, space)
+    embed = ground_embedding(space)
+    h = -0.5 * vm @ (inv + inv.conj().T) @ vp + build_Hg(params, space) \
+        + build_He(params, space)
+    return embed.conj().T @ h @ embed, {
+        name: embed.conj().T @ op @ inv @ vp @ embed
+        for name, op in build_lindblads(params, space).items()}
+
+
+# The symmetric-basis labels of the named excited states (a photon added to
+# a ground state is "+1"): a pair's first label is its sum, its second its
+# difference.
+EXCITED_LABELS = {"T0": ("0", "e", 0), "S0": ("e", "0", 0), "T1": ("1", "e", 0),
+                  "S1": ("e", "1", 0), "00+1": ("0", "0", 1), "T+1": ("0", "1", 1),
+                  "11+1": ("1", "1", 1), "S+1": ("1", "0", 1)}
+
+
+def excited_position(name: str) -> int:
+    """The row of H_NH in ``effective.Blocks`` of a named excited state:
+    H_NH's rows are the excited labels in the space's order."""
+    space = make_space(SystemParams())
+    return [space.labels[i] for i in excited_indices(space)].index(EXCITED_LABELS[name])
+
+
+def propagator(blocks, bra: str, ket: str) -> complex:
+    """<bra| H_NH^-1 |ket> of the named excited states, from the excited
+    block of an ``effective.Blocks``."""
+    return np.linalg.inv(blocks.H_NH)[excited_position(bra), excited_position(ket)]
+
+
+def symmetric_states(space) -> np.ndarray:
+    """V, whose columns are the ``symmetric_basis`` states, assembled from
+    its ``pairs`` (the identity for the ground basis)."""
+    pairs = symmetric_basis(space.labels)[0]
+    if pairs is None:
+        return np.eye(space.dim)
+    partner, swap, scale = pairs
+    k = np.arange(space.dim)
+    v = np.diag(swap)
+    v[partner, k] += 1.0
+    return v * np.sqrt(np.diag(scale))
 
 
 def apply_generator(me: MasterEquation, rho: np.ndarray) -> np.ndarray:
@@ -126,25 +253,6 @@ def validate_density(rho: np.ndarray) -> np.ndarray:
             f"density matrix has negative eigenvalue {w.min():.3e}"
         )
     return rho
-
-
-def ground_projector(ground: GroundBasis) -> np.ndarray:
-    return ground.embed @ ground.embed.conj().T
-
-
-def validate_partition(pm: PartitionedModel, tol: float = 1e-12) -> PartitionedModel:
-    """pm itself if V+ only raises from the ground sector and V- = V+^dag."""
-    pg = ground_projector(pm.ground)
-    pe = np.eye(pm.space.dim) - pg
-    vp = pm.V_plus
-    scale = max(float(np.abs(vp).max()), 1.0)
-    if float(np.abs(pg @ vp @ pg).max()) > tol * scale:
-        raise NumericalInstabilityError("V+ has ground-to-ground elements")
-    if float(np.abs(pe @ vp @ pe).max()) > tol * scale:
-        raise NumericalInstabilityError("V+ has excited-to-excited elements")
-    if float(np.abs(pm.V_minus - vp.conj().T).max()) > tol * scale:
-        raise NumericalInstabilityError("V- is not the adjoint of V+")
-    return pm
 
 
 def validate_rates(rm: RateMatrix) -> RateMatrix:

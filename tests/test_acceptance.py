@@ -13,14 +13,20 @@ import pytest
 
 from cavsinglet import effective, liouville, ratemodel, schemes
 from cavsinglet.hilbert import build_space, named_state
-from cavsinglet.model import build_master_equation
 from cavsinglet.schemes import (
     SchemeId,
     cavity_rates_for_cooperativity,
     optimal_drive_for_time,
     preset,
 )
-from oracles import closed_form_propagators, complex_form, full_fidelity
+from oracles import (
+    build_He,
+    build_master_equation,
+    closed_form_propagators,
+    complex_form,
+    full_fidelity,
+    propagator,
+)
 
 SQ2 = math.sqrt(2.0)
 C_REF = 256.0 / 15.0
@@ -39,8 +45,7 @@ def weak_trajectories(s1_params, s1_master):
     """Full, effective and rate-equation evolutions at Omega = gamma/10."""
     rho0 = liouville.mixed_ground_state(s1_master.space)
     traj_full = liouville.propagate(s1_master, rho0, 4000.0, 0.05)
-    pm = effective.partition(s1_params)
-    me_eff = effective.reduce(pm).as_master_equation()
+    me_eff = effective.reduce(s1_params).as_master_equation()
     traj_eff = liouville.propagate(
         me_eff, liouville.mixed_ground_state(me_eff.space), 4000.0, 0.05
     )
@@ -198,30 +203,28 @@ def test_criterion_6_effective_operator_oracle(rng):
             Omega=rng.uniform(0.001, 0.2),
             Omega_MW=0.0,
         )
-        pm = effective.partition(params)
-        inv = effective.invert_hnh(effective.build_hnh(pm), pm.excited_idx)
+        blocks = effective.elimination_blocks(params)
         cd = closed_form_propagators(params)
-        sp = pm.space
         checks = [
-            (named_state(sp, "T0"), named_state(sp, "T0"), 1 / cd.Delta_eff[1]),
-            (named_state(sp, "S0"), named_state(sp, "S0"), 1 / cd.Delta_eff[1]),
-            (named_state(sp, "T1"), named_state(sp, "T1"), 1 / cd.Delta_eff[2]),
-            (named_state(sp, "S1"), named_state(sp, "S1"), 1 / cd.Delta_eff[0]),
-            (named_state(sp, "T", 1), named_state(sp, "T", 1), 1 / cd.delta_eff[1]),
-            (named_state(sp, "S", 1), named_state(sp, "S", 1), 1 / cd.delta_eff[1]),
-            (named_state(sp, "00", 1), named_state(sp, "00", 1), 1 / cd.delta_eff[0]),
-            (named_state(sp, "11", 1), named_state(sp, "11", 1), 1 / cd.delta_eff[2]),
-            (named_state(sp, "T", 1), named_state(sp, "T0"), 1 / cd.g_eff[1]),
-            (named_state(sp, "S", 1), named_state(sp, "S0"), 1 / cd.g_eff[1]),
-            (named_state(sp, "11", 1), named_state(sp, "T1"), 1 / cd.g_eff[2]),
+            ("T0", "T0", 1 / cd.Delta_eff[1]),
+            ("S0", "S0", 1 / cd.Delta_eff[1]),
+            ("T1", "T1", 1 / cd.Delta_eff[2]),
+            ("S1", "S1", 1 / cd.Delta_eff[0]),
+            ("T+1", "T+1", 1 / cd.delta_eff[1]),
+            ("S+1", "S+1", 1 / cd.delta_eff[1]),
+            ("00+1", "00+1", 1 / cd.delta_eff[0]),
+            ("11+1", "11+1", 1 / cd.delta_eff[2]),
+            ("T+1", "T0", 1 / cd.g_eff[1]),
+            ("S+1", "S0", 1 / cd.g_eff[1]),
+            ("11+1", "T1", 1 / cd.g_eff[2]),
         ]
         for bra, ket, want in checks:
-            got = bra.conj() @ (inv @ ket)
+            got = propagator(blocks, bra, ket)
             worst = max(worst, abs(got - want) / abs(want))
     assert worst <= 1e-10
 
     p = preset(SchemeId.S1)
-    model = effective.reduce(effective.partition(p))
+    model = effective.reduce(p)
     rates = effective.effective_rates(p)
     s = np.array([0, 0, 0, 1], dtype=complex)
     t = np.array([0, 1, 0, 0], dtype=complex)
@@ -251,8 +254,7 @@ def test_criterion_7_trajectory_agreement(weak_trajectories):
     traj_strong = liouville.propagate(
         me_full, liouville.mixed_ground_state(me_full.space), 1500.0, 0.05
     )
-    me_dressed = effective.reduce_dressed(
-        effective.partition(strong)).as_master_equation()
+    me_dressed = effective.reduce_dressed(strong).as_master_equation()
     traj_dressed = liouville.propagate(
         me_dressed, liouville.mixed_ground_state(me_dressed.space), 1500.0, 0.05
     )
@@ -314,8 +316,6 @@ def test_criterion_9_structural(weak_trajectories, s1_params, s1_liouvillian,
     assert min_eig >= -1e-6
 
     space = build_space(1, 1)
-    from cavsinglet.model import build_He
-
     s1 = named_state(space, "S1")
     he = build_He(s1_params, space)
     for name in ("00", "T", "11", "S"):

@@ -309,6 +309,34 @@ def test_table1_writes_to_a_pipe_or_device(out):
     assert has_table == (out == "/dev/stdout")
 
 
+def test_table1_to_dev_stdout_redirected_into_a_file(tmp_path):
+    # the table follows what print wrote to the same file, not over it
+    src = Path(cavsinglet.__file__).resolve().parent.parent
+    out = tmp_path / "out.txt"
+    with open(out, "w") as fh:
+        subprocess.run(
+            [sys.executable, "-m", "cavsinglet.cli", "table1", "--schemes", "S1",
+             "--out", "/dev/stdout"], env=dict(os.environ, PYTHONPATH=str(src)),
+            stdout=fh, check=True)
+    lines = out.read_text().splitlines()
+    i = lines.index("scheme,static_error,max_fidelity,gap_at_2pct,"
+                    "convergence_time_at_2pct,needs_confinement")
+    assert lines[i + 1].startswith("S1,8.78906250000e-02,") and \
+        lines[i + 1].endswith(",yes")
+    assert lines[i + 2:] == ["table written to /dev/stdout"]
+
+
+def test_config_hash_ignores_the_output_path(tmp_path):
+    hashes = set()
+    for name in ("a.json", "b.json"):
+        assert main(["steady", "--scheme", "S1", "--record", str(tmp_path / name)]) == 0
+        hashes.add(json.loads((tmp_path / name).read_text())["provenance"]["config_hash"])
+    assert len(hashes) == 1
+    assert cli.config_hash({"scheme": "S1", "out": "x.csv"}) == \
+        cli.config_hash({"scheme": "S1", "out": "y.csv"}) != \
+        cli.config_hash({"scheme": "S0", "out": "x.csv"})
+
+
 def test_sweep_deterministic_bytes(tmp_path):
     # what the first run caches (spaces, operators, sectors) must not change
     # the second run's bytes

@@ -1,31 +1,40 @@
 import math
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cavsinglet import effective, liouville
+from cavsinglet import effective, liouville, schemes
 from cavsinglet.effective import (
     GROUND_LABELS,
-    build_hnh,
     effective_rates,
-    ground_hamiltonian_block,
-    invert_hnh,
-    partition,
+    elimination_blocks,
     reduce,
     reduce_dressed,
 )
-from cavsinglet.hilbert import named_state
-from cavsinglet.model import SystemParams, build_master_equation
-from cavsinglet.schemes import SchemeId, preset
+from cavsinglet.hilbert import build_space, named_state
+from cavsinglet.liouville import _rotated
+from cavsinglet.model import SystemParams
+from cavsinglet.schemes import SchemeId, cavity_rates_for_cooperativity, preset
 from oracles import (
     SingularPropagatorError,
+    build_Hg,
+    build_master_equation,
+    build_V,
     closed_form_propagators,
-    ground_projector,
-    validate_partition,
+    excited_indices,
+    excited_position,
+    ground_embedding,
+    non_hermitian_hamiltonian,
+    plain_reduction,
+    propagator,
+    symmetric_states,
 )
 
 SQ2 = math.sqrt(2.0)
-
 
 def ground_unit(name):
     v = np.zeros(4, dtype=complex)
@@ -49,44 +58,57 @@ def random_drive_free_params(rng):
     )
 
 
-class TestPartition:
-    def test_projectors_and_drive_structure(self, s1_params):
-        pm = validate_partition(partition(s1_params))
-        pg = ground_projector(pm.ground)
-        pe = np.zeros((12, 12))
-        pe[pm.excited_idx, pm.excited_idx] = 1.0
-        assert np.abs(pg + pe - np.eye(12)).max() < 1e-14
-        assert np.abs(pg @ pe).max() < 1e-14
-        assert len(pm.excited_idx) == 8
+class TestBlocks:
+    def test_index_sets_and_drive_structure(self, s1_params):
+        # V+ only raises from the ground sector, so its excited-from-ground
+        # block is all of it
+        space = build_space(1, 1)
+        blocks = elimination_blocks(s1_params)
+        e = excited_indices(space)
+        g = [space.index(lb) for lb in (("0", "0", 0), ("0", "1", 0),
+                                         ("1", "1", 0), ("1", "0", 0))]
+        assert sorted([*g, *e]) == list(range(12)) and len(e) == 8
+        vp = _rotated(build_V(s1_params, space)[0], space.labels)
+        scale = np.abs(vp).max()
+        assert np.abs(vp[np.ix_(g, g)]).max() == 0.0
+        assert np.abs(vp[np.ix_(e, e)]).max() == 0.0
+        assert np.abs(blocks.V_plus - vp[np.ix_(e, g)]).max() <= 1e-16 * scale
 
-    def test_ground_basis_order(self, s1_params):
-        pm = partition(s1_params)
-        assert pm.ground.labels == ("00", "T", "11", "S")
-        overlap = pm.ground.embed.conj().T @ named_state(pm.space, "S")
-        assert np.allclose(overlap, [0, 0, 0, 1])
+    def test_ground_basis_order(self):
+        # the symmetric basis at the ground index set is (00, T, 11, S)
+        assert effective.GroundBasis().labels == ("00", "T", "11", "S")
+        space = build_space(1, 1)
+        v, embed = symmetric_states(space), ground_embedding(space)
+        for k, lb in enumerate((("0", "0", 0), ("0", "1", 0), ("1", "1", 0),
+                                ("1", "0", 0))):
+            assert np.abs(v[:, space.index(lb)] - embed[:, k]).max() < 1e-15
+
+    def test_ground_block_matches_product_basis(self, s1_params):
+        space = build_space(1, 1)
+        embed = ground_embedding(space)
+        ref = embed.conj().T @ build_Hg(s1_params, space) @ embed
+        assert np.abs(elimination_blocks(s1_params).H_g - ref).max() \
+            <= 1e-15 * np.abs(ref).max()
 
 
 class TestNonHermitianHamiltonian:
     def test_decay_part_identity(self, s1_params):
-        pm = partition(s1_params)
-        hnh = build_hnh(pm)
-        decay = sum(op.conj().T @ op for op in pm.lindblads.values())
-        idx = pm.excited_idx
-        block = (pm.H0 - 0.5j * decay)[np.ix_(idx, idx)]
-        assert np.abs(hnh[np.ix_(idx, idx)] - block).max() == 0.0
+        # H_NH = P_e (H_g + H_e - i/2 sum_k L_k^dag L_k) P_e, rotated
+        space = build_space(1, 1)
+        e = excited_indices(space)
+        ref = _rotated(non_hermitian_hamiltonian(s1_params, space),
+                       space.labels)[np.ix_(e, e)]
+        hnh = elimination_blocks(s1_params).H_NH
+        assert np.abs(hnh - ref).max() <= 1e-15 * np.abs(ref).max()
 
     def test_dark_state_energy(self, s1_params):
-        pm = partition(s1_params)
-        hnh = build_hnh(pm)
-        s1 = named_state(pm.space, "S1")
+        blocks = elimination_blocks(s1_params)
+        k = excited_position("S1")
         want = s1_params.Delta + s1_params.beta - 0.5j * s1_params.gamma
-        assert s1.conj() @ (hnh @ s1) == pytest.approx(want)
+        assert blocks.H_NH[k, k] == pytest.approx(want)
 
     def test_eigenvalues_decay(self, s1_params):
-        pm = partition(s1_params)
-        idx = pm.excited_idx
-        block = build_hnh(pm)[np.ix_(idx, idx)]
-        assert np.linalg.eigvals(block).imag.max() < 0.0
+        assert np.linalg.eigvals(elimination_blocks(s1_params).H_NH).imag.max() < 0.0
 
 
 class TestClosedFormPropagators:
@@ -130,59 +152,46 @@ class TestInverse:
         # with a negligible coupling the excited block is diagonal
         p = SystemParams(g=1e-10, gamma=0.3, kappa=0.2, Delta=1.0, delta=0.5,
                          Omega=0.1)
-        pm = partition(p)
-        hnh = build_hnh(pm)
-        inv = invert_hnh(hnh, pm.excited_idx)
-        idx = pm.excited_idx
-        want = np.diag(1.0 / np.diag(hnh[np.ix_(idx, idx)]))
-        assert np.abs(inv[np.ix_(idx, idx)] - want).max() < 1e-9
+        hnh = elimination_blocks(p).H_NH
+        want = np.diag(1.0 / np.diag(hnh))
+        assert np.abs(np.linalg.inv(hnh) - want).max() < 1e-9
 
     def test_block_entries_match_closed_forms(self, rng):
         worst = 0.0
         for _ in range(25):
             p = random_drive_free_params(rng)
-            pm = partition(p)
-            inv = invert_hnh(build_hnh(pm), pm.excited_idx)
+            blocks = elimination_blocks(p)
             cd = closed_form_propagators(p)
-            sp = pm.space
             pairs = [
-                (named_state(sp, "T0"), named_state(sp, "T0"), 1 / cd.Delta_eff[1]),
-                (named_state(sp, "S1"), named_state(sp, "S1"), 1 / cd.Delta_eff[0]),
-                (named_state(sp, "T", 1), named_state(sp, "T0"), 1 / cd.g_eff[1]),
-                (named_state(sp, "11", 1), named_state(sp, "T1"), 1 / cd.g_eff[2]),
-                (named_state(sp, "00", 1), named_state(sp, "00", 1),
-                 1 / cd.delta_eff[0]),
+                ("T0", "T0", 1 / cd.Delta_eff[1]),
+                ("S1", "S1", 1 / cd.Delta_eff[0]),
+                ("T+1", "T0", 1 / cd.g_eff[1]),
+                ("11+1", "T1", 1 / cd.g_eff[2]),
+                ("00+1", "00+1", 1 / cd.delta_eff[0]),
             ]
             for bra, ket, want in pairs:
-                got = bra.conj() @ (inv @ ket)
+                got = propagator(blocks, bra, ket)
                 worst = max(worst, abs(got - want) / abs(want))
         assert worst < 1e-10
 
     def test_blocks_are_orthogonal(self, rng):
-        p = random_drive_free_params(rng)
-        pm = partition(p)
-        inv = invert_hnh(build_hnh(pm), pm.excited_idx)
-        sp = pm.space
-        cross = [
-            (named_state(sp, "S1"), named_state(sp, "T0")),
-            (named_state(sp, "00", 1), named_state(sp, "T1")),
-            (named_state(sp, "T", 1), named_state(sp, "S0")),
-            (named_state(sp, "S", 1), named_state(sp, "T0")),
-        ]
-        for bra, ket in cross:
-            assert abs(bra.conj() @ (inv @ ket)) < 1e-12
+        blocks = elimination_blocks(random_drive_free_params(rng))
+        for bra, ket in (("S1", "T0"), ("00+1", "T1"), ("T+1", "S0"), ("S+1", "T0")):
+            assert abs(propagator(blocks, bra, ket)) < 1e-12
 
 
 class TestReduce:
     def test_no_drive_reduces_to_ground_hamiltonian(self, s1_params):
-        pm = partition(s1_params.replace(Omega=0.0))
-        model = reduce(pm)
-        assert np.abs(model.H_eff - ground_hamiltonian_block(pm)).max() < 1e-14
+        params = s1_params.replace(Omega=0.0)
+        model = reduce(params)
+        embed = ground_embedding(build_space(1, 1))
+        hg = embed.conj().T @ build_Hg(params, build_space(1, 1)) @ embed
+        assert np.abs(model.H_eff - hg).max() < 1e-14
         for op in model.L_effs.values():
             assert np.abs(op).max() == 0.0
 
     def test_engineered_rates(self, s1_params):
-        model = reduce(partition(s1_params))
+        model = reduce(s1_params)
         r = effective_rates(s1_params)
         s, t, e11 = ground_unit("S"), ground_unit("T"), ground_unit("11")
         gamma_eff = sum(
@@ -200,7 +209,7 @@ class TestReduce:
 
     def test_effective_steady_state_matches_full(self, s1_params, s1_steady,
                                                  s1_master):
-        model = reduce(partition(s1_params))
+        model = reduce(s1_params)
         me = model.as_master_equation()
         rho = liouville.steady_state(liouville.vectorize(me))
         fid_eff = rho[3, 3].real
@@ -208,7 +217,7 @@ class TestReduce:
         assert abs(fid_eff - fid_full) < 0.01
 
     def test_hermitian_h_eff(self, s1_params):
-        model = reduce(partition(s1_params))
+        model = reduce(s1_params)
         assert np.abs(model.H_eff - model.H_eff.conj().T).max() < 1e-12
 
 
@@ -216,22 +225,18 @@ class TestReduceDressed:
     def test_zero_energies_match_plain_reduction(self, s1_params):
         # reduce is the zero-energy dressed reduction; the reference is the
         # plain formula H_eff = -1/2 V- (H_NH^-1 + h.c.) V+ + H_g,
-        # L_eff = L H_NH^-1 V+ with one unshifted propagator
-        pm = partition(s1_params)
-        plain = reduce(pm)
-        inv = invert_hnh(build_hnh(pm), pm.excited_idx)
-        vp, vm = pm.V_plus, pm.V_minus
-        h_ref = pm.ground.restrict(-0.5 * vm @ (inv + inv.conj().T) @ vp) \
-            + ground_hamiltonian_block(pm)
+        # L_eff = L H_NH^-1 V+ with one unshifted propagator, on the
+        # full-size product-basis operators
+        plain = reduce(s1_params)
+        h_ref, l_refs = plain_reduction(s1_params)
         assert plain.dressed is False and plain.ground_energies is None
         assert np.abs(plain.H_eff - h_ref).max() < 1e-13
-        for name, op in pm.lindblads.items():
-            l_ref = pm.ground.restrict(op @ inv @ vp)
+        assert list(plain.L_effs) == list(l_refs)
+        for name, l_ref in l_refs.items():
             assert np.abs(plain.L_effs[name] - l_ref).max() < 1e-13
 
     def test_ground_energies(self, s1_params):
-        pm = partition(s1_params)
-        model = reduce_dressed(pm)
+        model = reduce_dressed(s1_params)
         a = s1_params.Omega_MW / math.sqrt(s1_params.Omega_MW ** 2 + s1_params.beta ** 2)
         b = s1_params.beta / math.sqrt(s1_params.Omega_MW ** 2 + s1_params.beta ** 2)
         split = b * s1_params.beta + a * s1_params.Omega_MW
@@ -241,15 +246,12 @@ class TestReduceDressed:
 
     def test_shifted_dark_propagators(self, s1_params):
         # <S1|(H_NH - E)^-1|S1> = (-i gamma/2 -+ sqrt(3/2) Omega_MW)^-1
-        pm = partition(s1_params)
-        idx = pm.excited_idx
-        hnh = build_hnh(pm)[np.ix_(idx, idx)]
-        s1 = named_state(pm.space, "S1")[idx]
+        blocks = elimination_blocks(s1_params)
+        hnh, k = blocks.H_NH, excited_position("S1")
         split = math.sqrt(1.5) * s1_params.Omega_MW
         for sign in (+1.0, -1.0):
             energy = s1_params.beta + sign * split
-            inv = np.linalg.inv(hnh - energy * np.eye(len(idx)))
-            got = s1.conj() @ inv @ s1
+            got = np.linalg.inv(hnh - energy * np.eye(len(hnh)))[k, k]
             want = 1.0 / (-0.5j * s1_params.gamma - sign * split)
             assert abs(got - want) / abs(want) < 1e-3
 
@@ -258,10 +260,8 @@ class TestReduceDressed:
         # relative to Tr; quoted in the text as gamma^2/(gamma^2+Omega_MW^2),
         # which contradicts the propagators one line above
         params = preset(SchemeId.S1, Omega=0.375 / 2)
-        pm = partition(params)
-        model = reduce_dressed(pm)
-        hg = ground_hamiltonian_block(pm)
-        evals, evecs = np.linalg.eigh(hg)
+        model = reduce_dressed(params)
+        evals, evecs = np.linalg.eigh(elimination_blocks(params).H_g)
         s = ground_unit("S")
         t = ground_unit("T")
         rates, t_weights, shifts = [], [], []
@@ -281,6 +281,52 @@ class TestReduceDressed:
             reduction = (params.gamma / 2) ** 2 / ((params.gamma / 2) ** 2 + shift ** 2)
             want = 2 * r["gamma_eff"] * w * reduction
             assert rate == pytest.approx(want, rel=0.08)
+
+
+def full_and_effective(scheme, log10_c, omega_over_gamma):
+    """The full and the plain effective generator of ``scheme`` at C =
+    10^log10_c and Omega = omega_over_gamma gamma."""
+    gamma, kappa = cavity_rates_for_cooperativity(10.0 ** log10_c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # regime warnings from preset
+        params = preset(scheme, gamma=gamma, kappa=kappa, Omega=omega_over_gamma * gamma)
+    return (liouville.full_generator(params),
+            liouville.vectorize(reduce(params).as_master_equation()))
+
+
+class TestEffectiveAgainstFull:
+    """The plain reduction sets every ground energy to zero in its
+    propagators.  The presets scale those energies (Omega_MW, beta) with the
+    drive, so against the excited linewidth the reduction misses the full
+    model at first order in Omega/gamma.  Measured over C in [10, 1000]:
+    the sector gaps to 0.285 Omega/gamma relative and the fidelity to 0.051
+    Omega/gamma, both worst at C = 10 and still linear at Omega = gamma/500.
+    WS's far detuning Delta >= 20 g leaves (Omega/gamma)^2: 1.42 of it in
+    the fidelity.  Its +-b shift couples S to T, so it has no sectors."""
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(
+        scheme=st.sampled_from(["S1", "S0", "T0", "T1"]),
+        log10_c=st.floats(1.0, 3.0),
+        omega_over_gamma=st.floats(0.005, 0.1),
+    )
+    def test_sector_gaps_and_fidelity(self, scheme, log10_c, omega_over_gamma):
+        full, eff = full_and_effective(scheme, log10_c, omega_over_gamma)
+        sectors_full = liouville.spectral_gap(full).sectors
+        sectors_eff = liouville.spectral_gap(eff).sectors
+        assert len(sectors_full) == len(sectors_eff) == 2
+        for f, e in zip(sectors_full, sectors_eff):
+            assert abs(e - f) <= 0.35 * omega_over_gamma * f
+        fid_eff = liouville.steady_state(eff)[3, 3].real
+        assert abs(schemes.steady_fidelity(full) - fid_eff) <= 0.07 * omega_over_gamma
+
+    @settings(derandomize=True, deadline=None, max_examples=10)
+    @given(log10_c=st.floats(1.0, 3.0), omega_over_gamma=st.floats(0.02, 0.1))
+    def test_ws_fidelity(self, log10_c, omega_over_gamma):
+        full, eff = full_and_effective("WS", log10_c, omega_over_gamma)
+        fid_eff = liouville.steady_state(eff)[3, 3].real
+        assert abs(schemes.steady_fidelity(full) - fid_eff) \
+            <= 2.0 * omega_over_gamma ** 2
 
 
 class TestDressedShufflingOperators:
@@ -304,7 +350,7 @@ class TestDressedShufflingOperators:
 
     def test_chi_matches_numeric_reduction(self):
         params = preset(SchemeId.S1, Omega=0.375 / 2)
-        numeric = reduce_dressed(partition(params))
+        numeric = reduce_dressed(params)
         r = effective_rates(params)
         s, g00 = ground_unit("S"), ground_unit("00")
         got = s.conj() @ numeric.L_effs["gamma0_1"] @ g00
@@ -341,6 +387,6 @@ class TestEffectiveRates:
         assert r["gamma_a"] == pytest.approx(abs(r["chi_a"]) ** 2)
 
     def test_json_dump(self, s1_params):
-        model = reduce(partition(s1_params))
+        model = reduce(s1_params)
         text = model.to_json(rates={"gamma_eff": 1.0})
         assert '"L_effs"' in text and '"rates"' in text

@@ -72,18 +72,6 @@ def test_named_state_orthonormality():
         assert np.abs(gram - np.eye(4)).max() < 1e-12
 
 
-def test_psi_states():
-    space = build_space(1, 1)
-    psi_s = named_state(space, "psiS", b=0.0, Omega_MW=0.3)
-    assert abs(np.vdot(psi_s, named_state(space, "S")) - 1.0) < 1e-12
-    psi_s = named_state(space, "psiS", b=0.05, Omega_MW=0.3)
-    psi_1 = named_state(space, "psi1", b=0.05, Omega_MW=0.3)
-    assert abs(np.vdot(psi_s, psi_1)) < 1e-12
-    assert abs(np.linalg.norm(psi_s) - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        named_state(space, "psiS")  # both weights zero
-
-
 def test_named_state_truncation_errors():
     space = build_space(1, 1)
     with pytest.raises(ValueError):

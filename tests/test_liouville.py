@@ -41,14 +41,20 @@ from cavsinglet.liouville import (
     vectorize,
     vectorize_sum,
 )
-from cavsinglet.model import TERMS, MasterEquation, SystemParams, build_master_equation
+from cavsinglet.model import TERMS, MasterEquation, SystemParams
 from cavsinglet.schemes import (
     SchemeId,
     cavity_rates_for_cooperativity,
     components,
     preset,
 )
-from oracles import apply_generator, complex_form, validate_density
+from oracles import (
+    apply_generator,
+    build_master_equation,
+    complex_form,
+    symmetric_states,
+    validate_density,
+)
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -117,12 +123,11 @@ class TestVectorize:
             warnings.simplefilter("ignore")  # regime warnings from preset
             params = preset(scheme, gamma=gamma, kappa=kappa,
                             Omega=omega_over_gamma * gamma)
-            pm = effective.partition(params)
             models = [
                 build_master_equation(params, build_space(1, 1)),
                 build_master_equation(params.replace(n_max=2), build_space(2, 2)),
-                effective.reduce(pm).as_master_equation(),
-                effective.reduce_dressed(pm).as_master_equation(),
+                effective.reduce(params).as_master_equation(),
+                effective.reduce_dressed(params).as_master_equation(),
             ]
         rng = np.random.default_rng(11)
         for me in models:
@@ -167,19 +172,6 @@ def dense_hermitian_basis_map(d: int) -> np.ndarray:
     return np.array(rows)
 
 
-def symmetric_states(space) -> np.ndarray:
-    """V, whose columns are the ``symmetric_basis`` states, assembled from
-    its ``pairs`` (the identity for the ground basis)."""
-    pairs = symmetric_basis(space.labels)[0]
-    if pairs is None:
-        return np.eye(space.dim)
-    partner, swap, scale = pairs
-    k = np.arange(space.dim)
-    v = np.diag(swap)
-    v[partner, k] += 1.0
-    return v * np.sqrt(np.diag(scale))
-
-
 def real_coordinates_map(space) -> np.ndarray:
     """The dense map that ``to_real`` applies: T (V (x) V), vec(rho) to the
     real coordinates of V rho V (V is real and symmetric)."""
@@ -221,8 +213,7 @@ def oracle_models() -> dict:
     models["S1 n_max=2"] = build_master_equation(params["S1"].replace(n_max=2))
     models["S1 two excitations"] = build_master_equation(
         params["S1"].replace(n_max=2), build_space(2, 2))
-    models["S1 effective"] = effective.reduce(
-        effective.partition(params["S1"])).as_master_equation()
+    models["S1 effective"] = effective.reduce(params["S1"]).as_master_equation()
     return models
 
 
@@ -247,9 +238,8 @@ class TestRealForm:
 
     def test_weighted_sum_bit_identical_to_summed_oracle(self):
         # the mixture's effective gap sums its components' generators
-        terms = [(c.weight, effective.reduce(
-            effective.partition(c.params)).as_master_equation())
-            for c in components("T0S0_mix")]
+        terms = [(c.weight, effective.reduce(c.params).as_master_equation())
+                 for c in components("T0S0_mix")]
         mat, d = sum(w * column_stacked(me) for w, me in terms), terms[0][1].dim
         assert np.array_equal(vectorize_sum(terms).real_form(),
                               _real_form(in_hermitian_order(mat, d), d))
@@ -398,11 +388,11 @@ class TestExchangeSectors:
     def test_ground_basis_has_two_sectors(self, scheme):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # regime warnings from preset
-            pm = effective.partition(preset(scheme))
-        pairs, candidates = symmetric_basis(pm.ground.labels)
+            params = preset(scheme)
+        pairs, candidates = symmetric_basis(effective.GROUND.labels)
         assert pairs is None  # (00, T, 11, S) is the symmetric basis already
         assert [(len(even), len(odd)) for _, even, odd in candidates] == [(10, 6)] * 2
-        lv = vectorize(effective.reduce(pm).as_master_equation())
+        lv = vectorize(effective.reduce(params).as_master_equation())
         # WS's +-b shift couples S to T
         assert [len(m) for _, m in lv.blocks()] == ([16] if scheme == "WS" else [10, 6])
         ref = np.linalg.eigvals(lv.real_form())

@@ -5,18 +5,18 @@ import numpy as np
 import pytest
 
 from cavsinglet.hilbert import build_space, named_state
-from cavsinglet.model import (
-    SystemParams,
+from cavsinglet.model import SystemParams, make_space
+from cavsinglet.schemes import SchemeId, preset
+from oracles import (
+    apply_generator,
+    basis_vector,
     build_He,
     build_Hg,
     build_V,
     build_hamiltonian,
     build_lindblads,
     build_master_equation,
-    make_space,
 )
-from cavsinglet.schemes import SchemeId, preset
-from oracles import apply_generator, basis_vector
 
 SQ2 = math.sqrt(2.0)
 

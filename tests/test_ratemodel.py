@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from cavsinglet import liouville
-from cavsinglet.effective import effective_rates, ground_hamiltonian_block, partition
-from cavsinglet.model import build_master_equation
+from cavsinglet.effective import effective_rates, elimination_blocks
 from cavsinglet.ratemodel import build_dressed_basis, build_rates, evolve, singlet_pump_rates
 from cavsinglet.schemes import SchemeId, cavity_rates_for_cooperativity, preset
 from rate_diagnostics import (
@@ -16,7 +15,7 @@ from rate_diagnostics import (
     slowest_rate,
     steady_populations,
 )
-from oracles import validate_rates
+from oracles import build_master_equation, validate_rates
 
 C_REF = 256.0 / 15.0
 SQ2 = math.sqrt(2.0)
@@ -48,7 +47,7 @@ class TestDressedBasis:
             build_dressed_basis(0.0, 0.0)
 
     def test_diagonalizes_ground_hamiltonian(self, s1_params):
-        hg = ground_hamiltonian_block(partition(s1_params))
+        hg = elimination_blocks(s1_params).H_g
         u = build_dressed_basis(s1_params.Omega_MW, s1_params.beta).transform()
         diag = u @ hg @ u.T
         off = np.abs(diag - np.diag(np.diag(diag))).max()
