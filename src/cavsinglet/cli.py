@@ -14,6 +14,7 @@ import contextlib
 import csv
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -26,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, effective, liouville, ratemodel, schemes
+from .errors import DegenerateSteadyStateError, NumericalInstabilityError
 from .schemes import SchemeId, parse_scheme
 
 DEFAULT_G_MHZ = 16.0  # g / 2 pi, reference cavity
@@ -125,25 +127,26 @@ def write_record(record: dict, path: Path) -> None:
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    """Floats as %.11e, other cells as ``csv.writer`` writes them.  A row of
-    floats and strings is one %-format, cached per cell-type signature; csv
-    writes any other row, and any whose text it would quote."""
-    formats: dict = {}
+    """Floats as %.11e, other cells as ``csv.writer`` writes them.  A run of
+    rows of floats and strings, one type signature, is one %-format of its
+    row format repeated; csv writes any other run, and any it would quote."""
     with _rewritten(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            kinds = tuple(map(type, row))
-            if kinds not in formats:  # "": another cell type, so csv writes it
-                formats[kinds] = ",".join(
-                    "%.11e" if issubclass(k, float) else "%s" for k in kinds
-                ) if all(issubclass(k, (float, str)) for k in kinds) else ""
-            line = formats[kinds] and formats[kinds] % tuple(row)
-            if line and line.count(",") == len(row) - 1 and '"' not in line \
-                    and "\n" not in line and "\r" not in line:
-                fh.write(line + "\r\n")
+        for kinds, run in itertools.groupby(rows, lambda row: tuple(map(type, row))):
+            run = list(run)
+            n, text = len(run), ""
+            if all(issubclass(k, (float, str)) for k in kinds):
+                text = (",".join("%.11e" if issubclass(k, float) else "%s" for k in kinds)
+                        + "\r\n") * n % tuple(itertools.chain.from_iterable(run))
+            # no quote, comma or line break in a cell, and no empty line
+            if text.count(",") == n * (len(kinds) - 1) and '"' not in text \
+                    and text.count("\r") == n == text.count("\n") \
+                    and "\n\r\n" not in "\n" + text:
+                fh.write(text)
             else:
-                writer.writerow([f"{x:.11e}" if isinstance(x, float) else x for x in row])
+                writer.writerows([f"{x:.11e}" if isinstance(x, float) else x
+                                  for x in row] for row in run)
 
 
 def microseconds(t_over_g: float, g_mhz: float) -> float:
@@ -332,9 +335,9 @@ def cmd_trajectory(args) -> int:
                 # dressed populations map to bare ones through the squared
                 # basis-change amplitudes (diagonal-density approximation)
                 weights = db.transform() ** 2
-                for t, pops in zip(times, ratemodel.evolve(rm, weights @ bare0, times)):
-                    bare = [float(x) for x in weights.T @ pops]
-                    rows.append([float(t), method, *bare, 0.0, bare[3]])
+                bare = ratemodel.evolve(rm, weights @ bare0, times) @ weights
+                rows.extend([t, method, *b, 0.0, b[3]]
+                            for t, b in zip(times.tolist(), bare.tolist()))
                 continue
             if method not in GENERATORS:
                 raise ValueError(f"unknown method {method!r}")
@@ -455,6 +458,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # bad arguments, e.g. a mixture given to reduce
         print(f"cavsinglet {args.command}: error: {exc}", file=sys.stderr)
         return 2
+    except (DegenerateSteadyStateError, NumericalInstabilityError) as exc:
+        print(f"cavsinglet {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -22,14 +22,8 @@ import numpy as np
 
 from .errors import NumericalInstabilityError
 from .hilbert import excitation_count
-from .liouville import _rotated
+from .liouville import GROUND_LABELS, _rotated, ground_coordinates
 from .model import TERMS, MasterEquation, SystemParams, make_space
-
-GROUND_LABELS = ("00", "T", "11", "S")
-
-# The symmetric-basis labels of (00, T, 11, S): a pair's first label is its
-# sum, its second its difference.
-_GROUND_INDEX_LABELS = (("0", "0", 0), ("0", "1", 0), ("1", "1", 0), ("1", "0", 0))
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -61,7 +55,7 @@ def elimination_blocks(params: SystemParams) -> Blocks:
     """The ``Blocks`` of params' model, each ``TERMS`` row's operator rotated
     and restricted to the sectors before the rows are summed."""
     space = make_space(params)
-    g = np.array([space.index(lb) for lb in _GROUND_INDEX_LABELS])
+    g = ground_coordinates(space)
     e = np.array([i for i, lb in enumerate(space.labels) if excitation_count(lb)])
     rows, jumps = {"H": [], "V": []}, {}
     for kind, coefficient, operator in TERMS:

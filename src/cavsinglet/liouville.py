@@ -40,10 +40,6 @@ CONVERGED_DISTANCE = 0.01
 # ``LiouvillianMatrix.blocks`` may drop when it splits R.
 SECTOR_COUPLING_TOL = 1e-12
 
-# Sample times evaluated per block, so that the temporaries stay a fraction
-# of the (times x dim^2) result.
-TIME_CHUNK = 128
-
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -136,13 +132,9 @@ def superpose(modes: list):
     vectors = np.hstack([m for _, _, m in modes])
 
     def at(times) -> np.ndarray:
-        t = np.asarray(times, dtype=float)
-        out = np.empty((len(t), len(vectors)), dtype=complex)
-        for i in range(0, len(t), TIME_CHUNK):
-            x = np.exp(np.multiply.outer(t[i:i + TIME_CHUNK], values))
-            x *= coeff
-            np.matmul(x, vectors.T, out=out[i:i + TIME_CHUNK])
-        return out
+        x = np.exp(np.multiply.outer(np.asarray(times, dtype=float), values))
+        x *= coeff
+        return x @ vectors.T
 
     return at
 
@@ -561,13 +553,23 @@ class Mixture:
             sectors=(gap, float(min(o.min() for o in odd))) if all(map(len, odd)) else ())
 
 
+GROUND_LABELS = ("00", "T", "11", "S")
+
+
+def ground_coordinates(space) -> np.ndarray:
+    """Indices of (00, T, 11, S) among the space's ``symmetric_basis`` states:
+    a ground basis's own labels, else (0,0,0), (0,1,0), (1,1,0) and (1,0,0),
+    a pair's first label becoming its sum, its second its difference."""
+    labels = GROUND_LABELS if isinstance(space.labels[0], str) else (
+        ("0", "0", 0), ("0", "1", 0), ("1", "1", 0), ("1", "0", 0))
+    return np.array([space.labels.index(lb) for lb in labels])
+
+
 def ground_state_vectors(space) -> dict[str, np.ndarray]:
     """Unit vectors of the four zero-photon ground combinations."""
-    names = ("00", "T", "11", "S")
-    if all(isinstance(lb, str) for lb in space.labels):  # a ground basis
-        return {name: np.eye(space.dim, dtype=complex)[space.labels.index(name)]
-                for name in names}
-    return {name: named_state(space, name, photon=0) for name in names}
+    if isinstance(space.labels[0], str):  # a ground basis, labelled GROUND_LABELS
+        return dict(zip(GROUND_LABELS, np.eye(space.dim, dtype=complex)))
+    return {name: named_state(space, name, photon=0) for name in GROUND_LABELS}
 
 
 def mixed_ground_state(space) -> np.ndarray:
@@ -606,23 +608,22 @@ def steady_state(lv: LiouvillianMatrix) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled density-matrix evolution."""
+    """Sampled populations: each sample's diagonal of rho in the space's
+    ``symmetric_basis``, R's first dim coordinates, in which 00, T, 11 and
+    S are basis states (``ground_coordinates``)."""
 
     space: object
     times: np.ndarray
-    states: np.ndarray  # (n_samples, dim, dim)
+    diagonal: np.ndarray  # (n_samples, dim), real
     dt: float
 
     def populations(self) -> dict[str, np.ndarray]:
-        """Ground populations, total excited population and singlet fidelity."""
-        vectors = ground_state_vectors(self.space)
-        out: dict[str, np.ndarray] = {"t": self.times}
-        total = np.zeros(len(self.times))
-        for name, v in vectors.items():
-            p = np.einsum("i,nij,j->n", v.conj(), self.states, v).real
-            out[f"P_{name}"] = p
-            total += p
-        out["P_excited_total"] = np.einsum("nii->n", self.states).real - total
+        """Ground populations, total excited population (the other
+        coordinates' sum, none for a ground basis) and singlet fidelity."""
+        ground = ground_coordinates(self.space)
+        out = {"t": self.times} | {f"P_{name}": self.diagonal[:, k]
+                                   for name, k in zip(GROUND_LABELS, ground)}
+        out["P_excited_total"] = np.delete(self.diagonal, ground, axis=1).sum(axis=1)
         out["fidelity"] = out["P_S"]
         return out
 
@@ -654,25 +655,24 @@ def propagate(
     dt: float,
 ) -> Trajectory:
     """Exact evolution of the master equation, or of its generator or
-    mixture, on the ``sample_grid`` by ``evolve_spectral``, so the states
-    carry no step-size error; a ``NumericalInstabilityError`` is raised if
-    any sample's trace leaves 1 by more than ``TRACE_TOL``.
-    """
+    mixture, on the ``sample_grid``: its ``solution`` read on R's diagonal
+    coordinates alone, forming no state.  Raises ``NumericalInstabilityError``
+    if any sample's trace leaves 1 by more than ``TRACE_TOL``."""
     times, h = sample_grid(t_final, dt)
-    if np.shape(rho0) != (me.space.dim,) * 2:
+    d = me.space.dim
+    if np.shape(rho0) != (d, d):
         raise DimensionMismatchError(
-            f"initial state of shape {np.shape(rho0)} does not fit a space "
-            f"of dim {me.space.dim}")
+            f"initial state of shape {np.shape(rho0)} does not fit a space of dim {d}")
     if t_final == 0:
-        return Trajectory(me.space, times, rho0[np.newaxis].copy(), h)
+        return Trajectory(me.space, times, to_real(vec(rho0), me.space)[None, :d].real, h)
     lv = vectorize(me) if isinstance(me, MasterEquation) else me
-    states = evolve_spectral(lv, rho0, times)
-    drift = float(np.abs(np.einsum("nii->n", states) - 1.0).max())
+    diagonal = lv.solution(rho0, lambda v: v[:d])(times).real
+    drift = float(np.abs(diagonal.sum(axis=1) - 1.0).max())
     if not drift <= TRACE_TOL:
         raise NumericalInstabilityError(
             f"trace drifted by {drift:.3e} (> {TRACE_TOL:.0e}) during evolution"
         )
-    return Trajectory(me.space, times, states, h)
+    return Trajectory(me.space, times, diagonal, h)
 
 
 def fidelity(rho: np.ndarray, psi: np.ndarray) -> float:

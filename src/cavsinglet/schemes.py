@@ -19,7 +19,6 @@ from typing import Callable, NamedTuple
 
 from . import effective, liouville, ratemodel
 from .errors import NoValidDriveError, NumericalInstabilityError
-from .hilbert import named_state
 from .model import SystemParams
 
 _SQRT2 = math.sqrt(2.0)
@@ -376,7 +375,7 @@ def analytic_asymmetry_error(scheme: SchemeId | str, alpha: float) -> float:
 def steady_fidelity(lv: liouville.LiouvillianMatrix) -> float:
     """Singlet fidelity of the generator's steady state."""
     return liouville.fidelity(liouville.steady_state(lv),
-                              named_state(lv.space, "S", photon=0))
+                              liouville.ground_state_vectors(lv.space)["S"])
 
 
 def full_model(comps: list[Component]) -> liouville.Mixture:
@@ -416,7 +415,7 @@ def fidelity_response(scheme: SchemeId | str, omega: float,
     for (w, lv), hi, lo in zip(model.parts, components(scheme, Omega=up, **cavity),
                                components(scheme, Omega=down, **cavity)):
         dc = (liouville.coefficients(hi.params) - liouville.coefficients(lo.params))
-        s = named_state(lv.space, "S", photon=0)
+        s = liouville.ground_state_vectors(lv.space)["S"]
         d_rho = liouville.steady_state_derivative(lv, dc / (up - down))
         slope += w * (s.conj() @ d_rho @ s).real
     return model, mixture_fidelity(model), slope

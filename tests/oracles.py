@@ -4,8 +4,8 @@ rows, summed on the whole space), the plain effective-operator formula on
 them, the master equation's right-hand side evaluated directly, the
 complex form of a generator, the ``symmetric_basis`` states, the
 closed-form propagator entries of the excited sector, S1's closed-form
-error against the drive, a scheme's full-model fidelity, basis vectors, and
-the structural checks of density matrices and rate matrices."""
+error against the drive, a scheme's full-model fidelity, basis vectors,
+populations read off density matrices, and the structural checks of density matrices and rate matrices."""
 
 import math
 from dataclasses import dataclass
@@ -14,7 +14,12 @@ import numpy as np
 
 from cavsinglet.errors import NumericalInstabilityError
 from cavsinglet.hilbert import HilbertSpace, Label, excitation_count, named_state
-from cavsinglet.liouville import LiouvillianMatrix, from_real, symmetric_basis
+from cavsinglet.liouville import (
+    LiouvillianMatrix,
+    from_real,
+    ground_state_vectors,
+    symmetric_basis,
+)
 from cavsinglet.model import TERMS, MasterEquation, SystemParams, make_space
 from cavsinglet.ratemodel import RateMatrix
 from cavsinglet.schemes import components, full_model, mixture_fidelity
@@ -238,6 +243,17 @@ def basis_vector(space: HilbertSpace, label: Label) -> np.ndarray:
     v = np.zeros(space.dim, dtype=complex)
     v[space.index(label)] = 1.0
     return v
+
+
+def state_populations(states: np.ndarray, space) -> dict[str, np.ndarray]:
+    """``Trajectory.populations``' columns read off density matrices of shape
+    (n, dim, dim): <v|rho|v> for the named ground vectors, and the trace's
+    remainder as the excited total."""
+    out = {f"P_{name}": np.einsum("i,nij,j->n", v.conj(), states, v).real
+           for name, v in ground_state_vectors(space).items()}
+    out["P_excited_total"] = np.einsum("nii->n", states).real - sum(out.values())
+    out["fidelity"] = out["P_S"]
+    return out
 
 
 def validate_density(rho: np.ndarray) -> np.ndarray:

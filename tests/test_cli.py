@@ -454,6 +454,40 @@ def test_write_csv_matches_csv_writer(tmp_path):
     assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+@pytest.mark.parametrize("rows", [
+    # a run of one type signature, one cell of it needing quotes
+    [[float(t), "full", 0.25] for t in range(3)] + [[3.0, "a,b", 0.5], [4.0, 'q"', 0.5],
+                                                     [5.0, "x\r\ny", 0.5], [6.0, "ok", 0.5]],
+    # a run of rows of one empty cell, alone and among others
+    [[""], [""], [""]],
+    [["a"], [""], ["b"]],
+    # line breaks split across rows
+    [["x\r"], ["\ny"], ["z"]],
+    # alternating runs
+    [[0.0, "x"], [1.0, "y"], ["s", 1.0], ["t", 2.0], [3.0, "z"], [None], [4.0, "w"],
+     [], [], [5.0, ""], [np.float64(6.0), "v"], [7.0, "u"]],
+])
+def test_write_csv_runs_match_csv_writer(tmp_path, rows):
+    write_csv(tmp_path / "rows.csv", ["t", "method"], rows)
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "method"])
+        for row in rows:
+            writer.writerow([f"{x:.11e}" if isinstance(x, float) else x for x in row])
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_numerical_failure_is_one_line_exit_1(tmp_path, capsys):
+    # the steady state of WS at C = 1000 and a weak drive is not unique
+    record = tmp_path / "ws.json"
+    code = main(["steady", "--scheme", "WS", "--C", "1000", "--omega", "0.01gamma",
+                 "--record", str(record)])
+    err = capsys.readouterr().err
+    assert code == 1 and not record.exists()
+    assert err.splitlines() == ["cavsinglet steady: DegenerateSteadyStateError: "
+                                "stationary manifold is 6-dimensional, expected 1"]
+
+
 def test_table1_s1_row(tmp_path):
     out = tmp_path / "table.csv"
     code = main(["table1", "--schemes", "S1", "--out", str(out)])

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cavsinglet import effective, liouville
+from cavsinglet.cli import GENERATORS
 from cavsinglet.errors import (
     DegenerateSteadyStateError,
     DimensionMismatchError,
@@ -52,9 +53,18 @@ from oracles import (
     apply_generator,
     build_master_equation,
     complex_form,
+    state_populations,
     symmetric_states,
     validate_density,
 )
+
+
+def assert_matches_states(traj, lv, rho0, ref, tol=1e-8):
+    """The trajectory's populations, and the states ``evolve_spectral`` gives
+    at its times, agree with the reference states ``ref`` within tol."""
+    assert np.abs(evolve_spectral(lv, rho0, traj.times) - ref).max() < tol
+    want, got = state_populations(ref, traj.space), traj.populations()
+    assert max(np.abs(got[k] - want[k]).max() for k in want) < tol
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -476,8 +486,8 @@ class TestSteadyState:
         validate_density(s1_steady)  # hermitian, unit trace, positive
 
     def test_long_time_propagation_converges(self, strong_drive_run):
-        me, lv, traj, rho_ss = strong_drive_run
-        assert trace_distance(traj.states[-1], rho_ss) < 1e-6
+        me, lv, traj, states, rho_ss = strong_drive_run
+        assert trace_distance(states[-1], rho_ss) < 1e-6
 
     @settings(derandomize=True, deadline=None, max_examples=50)
     @given(
@@ -523,10 +533,10 @@ class TestSpectrum:
         assert np.all(np.diff(re) >= -1e-18)
 
     def test_gap_consistent_with_decay_fit(self, strong_drive_run):
-        me, lv, traj, rho_ss = strong_drive_run
+        me, lv, traj, states, rho_ss = strong_drive_run
         gap = spectral_gap(lv).gap
         dist = np.array([
-            np.linalg.norm(traj.states[i] - rho_ss)
+            np.linalg.norm(states[i] - rho_ss)
             for i in range(len(traj.times))
         ])
         sel = (traj.times > 700) & (dist > 1e-10)
@@ -557,12 +567,15 @@ class TestSpectrum:
 
 @pytest.fixture(scope="module")
 def strong_drive_run():
+    """The model, its generator, its trajectory, the states at the
+    trajectory's times and the steady state."""
     params = preset(SchemeId.S1, Omega=0.375 / 2)
     me = build_master_equation(params)
     lv = vectorize(me)
     rho_ss = steady_state(lv)
-    traj = propagate(me, mixed_ground_state(me.space), 2400.0, 0.05)
-    return me, lv, traj, rho_ss
+    rho0 = mixed_ground_state(me.space)
+    traj = propagate(me, rho0, 2400.0, 0.05)
+    return me, lv, traj, evolve_spectral(lv, rho0, traj.times), rho_ss
 
 
 class TestPropagate:
@@ -570,17 +583,18 @@ class TestPropagate:
         rho0 = mixed_ground_state(s1_master.space)
         traj = propagate(s1_master, rho0, 0.0, 0.1)
         assert len(traj.times) == 1
-        assert np.array_equal(traj.states[0], rho0)
+        want, got = state_populations(rho0[None], s1_master.space), traj.populations()
+        assert max(abs(got[k] - want[k]).max() for k in want) < 1e-15
 
     def test_trace_and_positivity_along_trajectory(self, strong_drive_run):
-        _, _, traj, _ = strong_drive_run
-        traces = np.einsum("nii->n", traj.states).real
-        assert np.abs(traces - 1).max() < 1e-8
-        for state in traj.states[:: max(1, len(traj.states) // 25)]:
+        _, _, traj, states, _ = strong_drive_run
+        assert np.abs(traj.diagonal.sum(axis=1) - 1).max() < 1e-8
+        assert np.abs(np.einsum("nii->n", states) - 1).max() < 1e-8
+        for state in states[:: max(1, len(states) // 25)]:
             assert np.linalg.eigvalsh(0.5 * (state + state.conj().T)).min() > -1e-6
 
     def test_singlet_population_grows_toward_steady(self, strong_drive_run):
-        me, _, traj, rho_ss = strong_drive_run
+        me, _, traj, _, rho_ss = strong_drive_run
         p_s = traj.populations()["P_S"]
         # envelope growth from the mixed start toward the stationary value
         assert p_s[0] == pytest.approx(0.25, abs=1e-10)
@@ -592,8 +606,8 @@ class TestPropagate:
         rho0 = mixed_ground_state(s1_master.space)
         traj = propagate(s1_master, rho0, 50.0, 0.05)
         ref = rk4_states(complex_form(s1_liouvillian), rho0, 50.0, 0.05)
-        assert traj.states.shape == ref.shape  # 1000 steps: every one sampled
-        assert np.abs(traj.states - ref).max() < 1e-8
+        assert len(traj.times) == len(ref)  # 1000 steps: every one sampled
+        assert_matches_states(traj, s1_liouvillian, rho0, ref)
 
     @pytest.mark.parametrize("scheme", [SchemeId.T0, SchemeId.S1])
     def test_asymmetric_start_matches_reference_rk4(self, scheme, eig_inputs):
@@ -609,8 +623,8 @@ class TestPropagate:
         traj = propagate(me, rho0, 50.0, 0.025)
         assert [len(m) for m in eig_inputs] == [len(m) for _, m in lv.blocks()]
         ref = rk4_states(complex_form(lv), rho0, 50.0, 0.025)[::2]
-        assert traj.states.shape == ref.shape
-        assert np.abs(traj.states - ref).max() < 1e-8
+        assert len(traj.times) == len(ref)
+        assert_matches_states(traj, lv, rho0, ref)
 
     def test_undriven_model_evolves(self):
         # 16 stationary states, so no single one for the evolution to keep
@@ -620,7 +634,7 @@ class TestPropagate:
             steady_state(vectorize(me))
         traj = propagate(me, rho0, 5.0, 0.025)
         ref = rk4_states(complex_form(vectorize(me)), rho0, 5.0, 0.025)
-        assert np.abs(traj.states - ref).max() < 1e-8
+        assert_matches_states(traj, vectorize(me), rho0, ref)
 
     def test_large_dt_only_coarsens_the_grid(self, s1_master):
         rho0 = mixed_ground_state(s1_master.space)
@@ -628,7 +642,43 @@ class TestPropagate:
         assert traj.dt == pytest.approx(10.0 / 3.0)
         assert traj.times == pytest.approx([0.0, 10.0 / 3.0, 20.0 / 3.0, 10.0])
         ref = propagate(s1_master, rho0, 10.0, 0.05)
-        assert np.abs(traj.states[-1] - ref.states[-1]).max() < 1e-10
+        assert np.abs(traj.diagonal[-1] - ref.diagonal[-1]).max() < 1e-10
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        scheme=st.sampled_from(["S1", "S0", "T1", "T0", "T0S0_mix", "WS"]),
+        start=st.sampled_from(["mixed", "00", "T", "11", "S"]),
+        method=st.sampled_from(["full", "effective", "dressed_effective"]),
+        t_final=st.floats(1.0, 4000.0),
+    )
+    def test_populations_are_those_of_the_states(self, scheme, start, method, t_final):
+        # R's diagonal coordinates against the states of the from_real readout,
+        # read with the named ground vectors
+        model = Mixture([(c.weight, GENERATORS[method](c.params))
+                         for c in components(scheme)])
+        if start == "mixed":
+            rho0 = mixed_ground_state(model.space)
+        else:
+            v = ground_state_vectors(model.space)[start]
+            rho0 = np.outer(v, v.conj())
+        traj = propagate(model, rho0, t_final, t_final / 40)
+        got = traj.populations()
+        want = state_populations(evolve_spectral(model, rho0, traj.times), model.space)
+        assert max(np.abs(got[k] - want[k]).max() for k in want) <= 1e-13
+        if method != "full":
+            assert np.all(got["P_excited_total"] == 0.0)
+
+    def test_trace_drift_raises(self):
+        # lowering R's rho_00 diagonal entry leaks trace; the undriven model
+        # has no unique stationary state, so the decomposition imposes none
+        me = build_master_equation(preset(SchemeId.S1).replace(Omega=0.0))
+        r = vectorize(me).real_form().copy()
+        r[0, 0] -= 1e-6
+        rho0 = mixed_ground_state(me.space)
+        with pytest.raises(NumericalInstabilityError, match="trace drifted"):
+            propagate(LiouvillianMatrix(me.space, r), rho0, 100.0, 0.5)
+        # the same model conserves the trace
+        propagate(LiouvillianMatrix(me.space, vectorize(me).real_form()), rho0, 100.0, 0.5)
 
     def test_sample_grid(self, s1_master):
         # 80,000 steps of h = 0.05, every 80th one sampled
@@ -743,7 +793,7 @@ class TestSpectralEvolution:
             assert cond == pytest.approx(ref.max() / ref.min(), rel=1e-12)
 
     def test_time_to_convergence(self, strong_drive_run):
-        me, lv, traj, rho_ss = strong_drive_run
+        me, lv, traj, _, rho_ss = strong_drive_run
         rho0 = mixed_ground_state(me.space)
         t_conv = time_to_convergence(lv, rho0, rho_ss)
         states = evolve_spectral(lv, rho0, [0.99 * t_conv, 1.01 * t_conv])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavsinglet import liouville, schemes
+from cavsinglet import effective, liouville, schemes
 from cavsinglet.errors import NoValidDriveError, NumericalInstabilityError
 from cavsinglet.liouville import full_generator
 from cavsinglet.schemes import (
@@ -345,6 +345,15 @@ class TestNumericBenchmarks:
                     scheme, gamma=gamma, kappa=kappa, Omega=gamma / 10
                 )
                 assert abs(err * C / pref - 1.0) < 0.20, (scheme, C)
+
+    @pytest.mark.parametrize("scheme", ["S1", "S0", "T1", "T0", "WS"])
+    @pytest.mark.parametrize("reduction", [effective.reduce, effective.reduce_dressed])
+    def test_steady_fidelity_of_an_effective_generator(self, scheme, reduction):
+        # the ground basis has no photon number: S is its last basis state
+        lv = liouville.vectorize(reduction(preset(scheme)).as_master_equation())
+        want = liouville.steady_state(lv)[3, 3]
+        assert abs(want.imag) < 1e-15
+        assert steady_fidelity(lv) == min(1.0, max(0.0, want.real))
 
     def test_dark_state_scheme_dominates(self):
         # best static error and best numeric fidelity at the reference cavity
