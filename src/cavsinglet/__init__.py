@@ -21,9 +21,9 @@ from .liouville import (
     steady_state,
     vectorize,
 )
-from .effective import EffectiveModel, GroundBasis, reduce, reduce_dressed
+from .effective import GroundBasis, reduce, reduce_dressed
 from .schemes import SchemeId, gap_analytic, preset, static_error
-from .ratemodel import DressedBasis, RateMatrix, build_dressed_basis, build_rates
+from .ratemodel import build_dressed_basis, build_rates
 
 __all__ = [
     "HilbertSpace", "build_space", "named_state",
@@ -31,8 +31,8 @@ __all__ = [
     "SpectrumReport", "Trajectory", "fidelity",
     "mixed_ground_state", "propagate", "spectral_gap", "steady_state",
     "vectorize",
-    "EffectiveModel", "GroundBasis", "reduce", "reduce_dressed",
+    "GroundBasis", "reduce", "reduce_dressed",
     "SchemeId", "gap_analytic", "preset", "static_error",
-    "DressedBasis", "RateMatrix", "build_dressed_basis", "build_rates",
+    "build_dressed_basis", "build_rates",
     "__version__",
 ]

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, effective, liouville, ratemodel, schemes
+from . import __version__, effective, liouville, schemes
 from .errors import DegenerateSteadyStateError, NumericalInstabilityError
 from .schemes import SchemeId, parse_scheme
 
@@ -57,11 +57,13 @@ def build_components(args) -> list[schemes.Component]:
     g, gamma, kappa = _cavity_args(args)
     omega = parse_rate(args.omega, gamma, kappa, g) if args.omega else None
     omega_mw = parse_rate(args.omega_mw, gamma, kappa, g) if args.omega_mw else None
+    # Delta feeds the preset rules and also replaces what they set (S1's Delta = 0)
     overrides = {key: getattr(args, key) for key in
                  ("Delta", "delta", "beta", "phi", "alpha", "b", "n_max")
                  if getattr(args, key, None) is not None}
     return schemes.components(args.scheme, overrides, g=g, gamma=gamma,
-                              kappa=kappa, Omega=omega, Omega_MW=omega_mw)
+                              kappa=kappa, Omega=omega, Omega_MW=omega_mw,
+                              Delta=args.Delta)
 
 
 # Where a run writes is not part of what it computes.
@@ -308,10 +310,8 @@ def _initial_state(spec: str, space) -> np.ndarray:
 # Per ``trajectory`` method but ``rate``: one phase-fixed model's generator
 GENERATORS = {
     "full": liouville.full_generator,
-    "effective": lambda p: liouville.vectorize(
-        effective.reduce(p).as_master_equation()),
-    "dressed_effective": lambda p: liouville.vectorize(
-        effective.reduce_dressed(p).as_master_equation()),
+    "effective": lambda p: liouville.vectorize(effective.reduce(p)),
+    "dressed_effective": lambda p: liouville.vectorize(effective.reduce_dressed(p)),
 }
 
 
@@ -323,30 +323,25 @@ def cmd_trajectory(args) -> int:
     rows = []
     failed = False
     dt = 0.05 / args.g if args.dt is None else args.dt
-    times, _ = liouville.sample_grid(args.t_final, dt)
+    times, h = liouville.sample_grid(args.t_final, dt)
     for method in methods:
         try:
             if method == "rate":
-                params = comps[0].params
-                rm = schemes.rate_model(args.scheme, params)
-                db = ratemodel.build_dressed_basis(params.Omega_MW, params.beta)
-                # populations in the (00, T, 11, S) order of the ground basis
+                # on the ground basis, whose excited total is the empty sum, 0
+                evolution = schemes.rate_populations(args.scheme)
                 bare0 = np.diag(_initial_state(args.rho0, effective.GROUND)).real
-                # dressed populations map to bare ones through the squared
-                # basis-change amplitudes (diagonal-density approximation)
-                weights = db.transform() ** 2
-                bare = ratemodel.evolve(rm, weights @ bare0, times) @ weights
-                rows.extend([t, method, *b, 0.0, b[3]]
-                            for t, b in zip(times.tolist(), bare.tolist()))
-                continue
-            if method not in GENERATORS:
+                traj = liouville.Trajectory(effective.GROUND, times, evolution(
+                    comps[0].params, bare0, times), h)
+            elif method in GENERATORS:
+                model = liouville.Mixture([(c.weight, GENERATORS[method](c.params))
+                                           for c in comps])
+                traj = liouville.propagate(model, _initial_state(args.rho0, model.space),
+                                           args.t_final, dt)
+            else:
                 raise ValueError(f"unknown method {method!r}")
-            model = liouville.Mixture([(c.weight, GENERATORS[method](c.params))
-                                       for c in comps])
-            rho0 = _initial_state(args.rho0, model.space)
-            traj = liouville.propagate(model, rho0, args.t_final, dt)
-            _, data = liouville.trajectory_csv_rows(traj)
-            rows.extend([t, method, *pops] for t, *pops in data)
+            pops = traj.populations()
+            t, *columns = (pops[c].tolist() for c in header if c != "method")
+            rows.extend([x, method, *p] for x, p in zip(t, zip(*columns)))
         except Exception as exc:  # noqa: BLE001 - per-method failures isolated
             failed = True
             rows.append([0.0, method, float("nan"), float("nan"), float("nan"),
@@ -367,12 +362,23 @@ def cmd_reduce(args) -> int:
                          f"mixture of {' and '.join(str(c.scheme) for c in comps)}")
     params = comps[0].params
     model = (effective.reduce_dressed if args.dressed else effective.reduce)(params)
-    rates = {
+
+    def pairs(m):  # each complex entry as [re, im]
+        return np.stack((m.real, m.imag), axis=-1).tolist()
+
+    payload = {"basis": list(model.space.labels), "dressed": args.dressed,
+               "H_eff": pairs(model.H),
+               "L_effs": {k: pairs(v) for k, v in model.lindblads.items()}}
+    if args.dressed:
+        # the energies that reduce_dressed shifts the propagators by
+        payload["ground_energies"] = np.linalg.eigh(
+            effective.elimination_blocks(params).H_g)[0].tolist()
+    payload["rates"] = {
         k: ([v.real, v.imag] if isinstance(v, complex) else float(v))
         for k, v in effective.effective_rates(params).items()
     }
     with _rewritten(Path(args.out)) as fh:
-        fh.write(model.to_json(rates=rates) + "\n")
+        fh.write(json.dumps(payload, indent=1) + "\n")
     print(f"effective model written to {args.out}")
     return 0
 

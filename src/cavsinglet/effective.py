@@ -14,7 +14,6 @@ label with an excitation.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import NamedTuple
 
@@ -76,44 +75,6 @@ def elimination_blocks(params: SystemParams) -> Blocks:
                   dict(zip(jumps, ls[:, g])))
 
 
-class EffectiveModel:
-    """Ground-sector effective Hamiltonian and decay operators."""
-
-    ground = GROUND
-
-    def __init__(
-        self,
-        H_eff: np.ndarray,
-        L_effs: dict[str, np.ndarray],
-        dressed: bool = False,
-        ground_energies: tuple[float, ...] | None = None,
-    ):
-        self.H_eff = np.asarray(H_eff, dtype=complex)
-        self.L_effs = {k: np.asarray(v, dtype=complex) for k, v in L_effs.items()}
-        self.dressed = dressed
-        self.ground_energies = ground_energies
-
-    def as_master_equation(self) -> MasterEquation:
-        h = 0.5 * (self.H_eff + self.H_eff.conj().T)
-        return MasterEquation(self.ground, h, self.L_effs)
-
-    def to_json(self, rates: dict | None = None) -> str:
-        def matdump(m):
-            return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-        payload = {
-            "basis": list(self.ground.labels),
-            "dressed": self.dressed,
-            "H_eff": matdump(self.H_eff),
-            "L_effs": {k: matdump(v) for k, v in self.L_effs.items()},
-        }
-        if self.ground_energies is not None:
-            payload["ground_energies"] = list(self.ground_energies)
-        if rates:
-            payload["rates"] = rates
-        return json.dumps(payload, indent=1)
-
-
 def _reduced(blocks: Blocks, energies: np.ndarray, vectors: np.ndarray) -> tuple:
     """H_eff and the L_effs of the ground states ``vectors`` (columns) of
     energies E_l: each is excited through its shifted propagator, K = sum_l
@@ -133,22 +94,24 @@ def _reduced(blocks: Blocks, energies: np.ndarray, vectors: np.ndarray) -> tuple
     return h_eff, {name: op @ kernel for name, op in blocks.jumps.items()}
 
 
-def reduce(params: SystemParams) -> EffectiveModel:
-    """Second-order effective model: the dressed reduction with every ground
-    energy set to zero, so one propagator H_NH^(-1) serves all ground states."""
-    return EffectiveModel(*_reduced(elimination_blocks(params), np.zeros(4), np.eye(4)))
+def reduce(params: SystemParams) -> MasterEquation:
+    """Second-order effective model on ``GROUND``: the dressed reduction with
+    every ground energy set to zero, so one propagator H_NH^(-1) serves all
+    ground states."""
+    return MasterEquation(GROUND, *_reduced(elimination_blocks(params), np.zeros(4),
+                                            np.eye(4)))
 
 
-def reduce_dressed(params: SystemParams) -> EffectiveModel:
-    """Effective model with ground-state energies kept in the propagators.
+def reduce_dressed(params: SystemParams) -> MasterEquation:
+    """Effective model on ``GROUND`` with ground-state energies kept in the
+    propagators.
 
-    Each ground eigenstate l of energy E_l is excited through the shifted
-    propagator (H_NH - E_l)^(-1), the shift covering the whole excited block.
+    Each ground eigenstate l of energy E_l, from ``eigh(H_g)``, is excited
+    through the shifted propagator (H_NH - E_l)^(-1), the shift covering the
+    whole excited block.
     """
     blocks = elimination_blocks(params)
-    energies, vectors = np.linalg.eigh(blocks.H_g)
-    return EffectiveModel(*_reduced(blocks, energies, vectors), dressed=True,
-                          ground_energies=tuple(float(e) for e in energies))
+    return MasterEquation(GROUND, *_reduced(blocks, *np.linalg.eigh(blocks.H_g)))
 
 
 def effective_rates(params: SystemParams) -> dict[str, complex]:
@@ -191,8 +154,8 @@ def _ket_bra(ket: str, bra: str) -> np.ndarray:
 
 def simplified_dark_state_operators(
     params: SystemParams, dressed: bool = True
-) -> EffectiveModel:
-    """Closed-form ground-sector operators of the dark-state scheme.
+) -> MasterEquation:
+    """Closed-form ground-sector model of the dark-state scheme, on ``GROUND``.
 
     With ``dressed=False`` these are the bare engineered-decay operators
     (rates gamma_eff, kappa_eff); with ``dressed=True`` the microwave
@@ -239,4 +202,4 @@ def simplified_dark_state_operators(
     h_eff += params.beta * (
         2.0 * _ket_bra("11", "11") + _ket_bra("T", "T") + _ket_bra("S", "S")
     )
-    return EffectiveModel(h_eff, l_effs, dressed=dressed)
+    return MasterEquation(GROUND, h_eff, l_effs)

@@ -739,9 +739,3 @@ def time_to_convergence(
             break
     return float(hi)
 
-
-def trajectory_csv_rows(traj: Trajectory) -> tuple[list[str], list[list[float]]]:
-    """Header and rows for the standard trajectory CSV layout."""
-    pops = traj.populations()
-    header = ["t", "P_00", "P_T", "P_11", "P_S", "P_excited_total", "fidelity"]
-    return header, np.column_stack([pops[c] for c in header]).tolist()

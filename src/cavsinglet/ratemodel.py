@@ -10,65 +10,36 @@ ODEs are solved in closed form through the 4x4 eigendecomposition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .effective import GROUND_LABELS, effective_rates, simplified_dark_state_operators
+from .effective import effective_rates, simplified_dark_state_operators
 from .liouville import Eigenblock, spectral_modes, superpose
 from .model import SystemParams
-
-DRESSED_ORDER = ("T+", "T-", "Tr", "S")
 
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class DressedBasis:
-    """Dressed triplet combinations of (00, 11, T) under microwave driving.
-
-    A = Omega_MW / sqrt(Omega_MW^2 + beta^2), B = beta / sqrt(...), and the
-    rows of ``vectors`` are T+, T-, Tr over the span ordered (00, 11, T).
-    """
-
-    A: float
-    B: float
-    vectors: np.ndarray
-
-    def transform(self) -> np.ndarray:
-        """4x4 change of basis, rows (T+, T-, Tr, S), columns (00, T, 11, S)."""
-        u = np.zeros((4, 4))
-        col = {name: GROUND_LABELS.index(name) for name in ("00", "11", "T")}
-        for row in range(3):
-            c00, c11, ct = self.vectors[row]
-            u[row, col["00"]] = c00
-            u[row, col["11"]] = c11
-            u[row, col["T"]] = ct
-        u[3, GROUND_LABELS.index("S")] = 1.0
-        return u
-
-
-def build_dressed_basis(Omega_MW: float, beta: float) -> DressedBasis:
-    """Orthonormal dressed triplet triple; degenerate for both drives zero."""
+def _mixing(Omega_MW: float, beta: float) -> tuple[float, float]:
+    """(A, B) = (Omega_MW, beta) / sqrt(Omega_MW^2 + beta^2), the mixing
+    amplitudes of the dressed basis: T is A/sqrt 2 of T+ and T-, B of Tr."""
     norm2 = Omega_MW ** 2 + beta ** 2
     if norm2 == 0.0:
         raise ValueError("dressed basis undefined for Omega_MW = beta = 0")
-    a = Omega_MW / math.sqrt(norm2)
-    b = beta / math.sqrt(norm2)
-    vectors = np.array([
-        [-0.5 * (b - 1.0), 0.5 * (b + 1.0), a / _SQRT2],   # T+
-        [-0.5 * (b + 1.0), 0.5 * (b - 1.0), a / _SQRT2],   # T-
-        [a / _SQRT2, -a / _SQRT2, b],                      # Tr
+    return Omega_MW / math.sqrt(norm2), beta / math.sqrt(norm2)
+
+
+def build_dressed_basis(Omega_MW: float, beta: float) -> np.ndarray:
+    """Orthonormal 4x4 change of basis, rows the dressed states (T+, T-, Tr,
+    S), columns the ``GROUND`` order (00, T, 11, S); degenerate for both
+    drives zero."""
+    a, b = _mixing(Omega_MW, beta)
+    return np.array([
+        [-0.5 * (b - 1.0), a / _SQRT2, 0.5 * (b + 1.0), 0.0],   # T+
+        [-0.5 * (b + 1.0), a / _SQRT2, 0.5 * (b - 1.0), 0.0],   # T-
+        [a / _SQRT2, b, -a / _SQRT2, 0.0],                      # Tr
+        [0.0, 0.0, 0.0, 1.0],                                   # S
     ])
-    return DressedBasis(A=a, B=b, vectors=vectors)
-
-
-@dataclass(frozen=True)
-class RateMatrix:
-    """Population rate matrix over (T+, T-, Tr, S); columns sum to zero."""
-
-    matrix: np.ndarray
-    states: tuple[str, ...] = DRESSED_ORDER
 
 
 def singlet_pump_rates(params: SystemParams, dressed: bool = False) -> np.ndarray:
@@ -81,11 +52,9 @@ def singlet_pump_rates(params: SystemParams, dressed: bool = False) -> np.ndarra
     -+ sqrt(3/2) Omega_MW, reducing the T+- rates by
     gamma^2 / (gamma^2 + shift^2) relative to Tr.
     """
-    db = build_dressed_basis(params.Omega_MW, params.beta)
-    rates = effective_rates(params)
-    gamma_eff = rates["gamma_eff"]
+    a, b = _mixing(params.Omega_MW, params.beta)
+    gamma_eff = effective_rates(params)["gamma_eff"]
     gamma = params.gamma
-    a, b = db.A, db.B
     weights = np.array([a * a / 2.0, a * a / 2.0, b * b])  # |<T|T_l>|^2
     shifts = np.array([
         +(b * params.beta + a * params.Omega_MW),
@@ -99,8 +68,8 @@ def singlet_pump_rates(params: SystemParams, dressed: bool = False) -> np.ndarra
     return 2.0 * gamma_eff * weights * reduction
 
 
-def build_rates(params: SystemParams, dressed: bool = False) -> RateMatrix:
-    """Population rate matrix over (T+, T-, Tr, S).
+def build_rates(params: SystemParams, dressed: bool = False) -> np.ndarray:
+    """Population rate matrix over (T+, T-, Tr, S); columns sum to zero.
 
     The singlet row uses the per-dressed-state pump rates (state-shifted
     propagators when ``dressed=True``) and the cavity drain kappa_eff; the
@@ -109,12 +78,11 @@ def build_rates(params: SystemParams, dressed: bool = False) -> RateMatrix:
     cavity channel's coherent feeding of the singlet from 00 is a
     coherence-level process outside the rate description.
     """
-    db = build_dressed_basis(params.Omega_MW, params.beta)
-    u = db.transform()
-    eff = simplified_dark_state_operators(params, dressed=dressed)
+    u = build_dressed_basis(params.Omega_MW, params.beta)
+    jumps = simplified_dark_state_operators(params, dressed=dressed).lindblads
     w = np.zeros((4, 4))
-    w_kappa = np.abs(u @ eff.L_effs["kappa"] @ u.conj().T) ** 2
-    for name, op in eff.L_effs.items():
+    w_kappa = np.abs(u @ jumps["kappa"] @ u.conj().T) ** 2
+    for name, op in jumps.items():
         if name != "kappa":
             w += np.abs(u @ op @ u.conj().T) ** 2
     # exact per-state gamma pumps replace the transformed ones; the cavity
@@ -122,11 +90,20 @@ def build_rates(params: SystemParams, dressed: bool = False) -> RateMatrix:
     w[3, :3] = singlet_pump_rates(params, dressed)
     w += w_kappa
     np.fill_diagonal(w, 0.0)
-    rates = w - np.diag(w.sum(axis=0))
-    return RateMatrix(matrix=rates)
+    return w - np.diag(w.sum(axis=0))
 
 
-def evolve(rm: RateMatrix, p0: np.ndarray, times: np.ndarray) -> np.ndarray:
+def evolve(rates: np.ndarray, p0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Populations at the given times, from the eigendecomposition."""
-    return superpose(spectral_modes([(None, rm.matrix)], p0,
-                                    lambda b: Eigenblock.of(rm.matrix)))(times).real
+    return superpose(spectral_modes([(None, rates)], p0,
+                                    lambda b: Eigenblock.of(rates)))(times).real
+
+
+def bare_populations(params: SystemParams, p0: np.ndarray,
+                     times: np.ndarray) -> np.ndarray:
+    """(00, T, 11, S) populations at the given times from the bare ones p0,
+    under the dressed rate matrix: dressed populations map to and from bare
+    ones through the squared basis-change amplitudes (a diagonal-density
+    approximation)."""
+    weights = build_dressed_basis(params.Omega_MW, params.beta) ** 2
+    return evolve(build_rates(params, dressed=True), weights @ p0, times) @ weights

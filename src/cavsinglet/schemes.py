@@ -39,6 +39,9 @@ DYNAMIC_ERROR = 0.02
 # Omega: truncation ~1e-10 and rounding ~1e-11 relative.
 DRIVE_STEP = 1e-5
 
+# Omega_MW / Omega of the S0, T0 and T1 presets (optimal between 1/2 and 1/3)
+MW_RATIO = 1.0 / 3.0
+
 # Most solves the drive search makes after the weak drive's; bisection alone
 # meets the 1e-3 rule in about 13.
 DRIVE_SOLVES = 40
@@ -185,23 +188,24 @@ def asymmetry_error(alpha: float) -> float:
 # -- the scheme table ---------------------------------------------------------
 
 
-def _s1_rule(g, gamma, kappa, Omega, Omega_MW, Delta, mw_ratio) -> dict:
+def _s1_rule(g, gamma, kappa, Omega, Omega_MW, Delta) -> dict:
     omega_mw = Omega / 2.0 ** 1.25 if Omega_MW is None else Omega_MW
     beta = omega_mw / _SQRT2
     return dict(Omega_MW=omega_mw, Delta=0.0, delta=-beta, beta=beta, phi=math.pi)
 
 
-def _cavity_rule(photons, phi, g, gamma, kappa, Omega, Omega_MW, Delta,
-                 mw_ratio) -> dict:
+def _cavity_rule(photons, phi, g, gamma, kappa, Omega, Omega_MW, Delta) -> dict:
     # S0 and T0 (one photon) and T1 (two, with the microwave detuned by
     # Omega_MW / sqrt 2): the cavity detuning compensates photons g^2 / Delta
     delta_l = g * math.sqrt(photons * gamma / kappa) if Delta is None else Delta
-    omega_mw = Omega * mw_ratio if Omega_MW is None else Omega_MW
+    if delta_l == 0.0:
+        raise ValueError(f"the cavity detuning {photons} g^2 / Delta needs Delta != 0")
+    omega_mw = Omega * MW_RATIO if Omega_MW is None else Omega_MW
     return dict(Omega_MW=omega_mw, Delta=delta_l, delta=photons * g * g / delta_l,
                 beta=(photons - 1) * omega_mw / _SQRT2, phi=phi)
 
 
-def _ws_rule(g, gamma, kappa, Omega, Omega_MW, Delta, mw_ratio) -> dict:
+def _ws_rule(g, gamma, kappa, Omega, Omega_MW, Delta) -> dict:
     # Far-detuned drive, resonant cavity, compensated microwave detuning and
     # the trade-off shift b.  Delta must satisfy Delta >> g and
     # Delta kappa >> g^2; the default scales with 1/kappa so the second
@@ -227,7 +231,8 @@ class Scheme(NamedTuple):
     closed-form gap at given parameters); a mixture has none, and its static
     error and analytic gap are the weighted means of its components'.  The
     optimal drive at fixed time, the asymmetry error and the dressed
-    rate-equation model are derived for S1 alone, so only its row has them."""
+    rate-equation evolution (``ratemodel.bare_populations``) are derived for
+    S1 alone, so only its row has them."""
 
     components: tuple[tuple[float, SchemeId], ...]
     needs_confinement: bool
@@ -236,7 +241,7 @@ class Scheme(NamedTuple):
     gap: Callable[[SystemParams], float] | None = None
     optimal_drive: Callable[[float, SystemParams], dict] | None = None
     asymmetry_error: Callable[[float], float] | None = None
-    rate_model: Callable[[SystemParams], ratemodel.RateMatrix] | None = None
+    rate_populations: Callable | None = None
 
 
 SCHEMES = {
@@ -244,7 +249,7 @@ SCHEMES = {
         ((1.0, SchemeId.S1),), True, _s1_rule, lambda C: 1.5 / C,
         lambda p: gap_s1_exact(p.Omega, p.gamma, p.Omega_MW),
         optimal_drive_for_time, asymmetry_error,
-        functools.partial(ratemodel.build_rates, dressed=True)),
+        ratemodel.bare_populations),
     SchemeId.S0: Scheme(
         ((1.0, SchemeId.S0),), True, functools.partial(_cavity_rule, 1, math.pi),
         lambda C: 3.5 / C, lambda p: (5.0 - _SQRT5) / 16.0 * (p.Omega ** 2 / p.gamma)),
@@ -278,15 +283,13 @@ def preset(
     Omega: float | None = None,
     Omega_MW: float | None = None,
     Delta: float | None = None,
-    mw_ratio: float = 1.0 / 3.0,
 ) -> SystemParams:
     """Fully populated parameters for one phase-fixed scheme.
 
     Defaults: the reference cavity rates, weak driving Omega = gamma/10,
-    and the per-scheme detuning rules.  ``mw_ratio`` sets Omega_MW/Omega
-    for the T0/T1/S0 schemes (optimal between 1/2 and 1/3; the simulations
-    use 1/3).  A mixture has no single model and raises ``ValueError``;
-    ``components`` gives its parts.
+    and the per-scheme detuning rules, which take a given Omega_MW and
+    Delta as inputs.  A mixture has no single model and raises
+    ``ValueError``; ``components`` gives its parts.
     """
     scheme = parse_scheme(scheme)
     row = SCHEMES[scheme]
@@ -303,7 +306,7 @@ def preset(
             stacklevel=2,
         )
     return SystemParams(g=g, gamma=gamma, kappa=kappa, Omega=Omega, **row.preset(
-        g, gamma, kappa, Omega, Omega_MW, Delta, mw_ratio))
+        g, gamma, kappa, Omega, Omega_MW, Delta))
 
 
 class Component(NamedTuple):
@@ -359,9 +362,10 @@ def optimal_drive(scheme: SchemeId | str, t: float,
     return _derived_rule(scheme, "optimal_drive", "optimal-drive closed form")(t, params)
 
 
-def rate_model(scheme: SchemeId | str, params: SystemParams) -> ratemodel.RateMatrix:
-    """The scheme's dressed rate-equation model; ``ValueError`` if it has none."""
-    return _derived_rule(scheme, "rate_model", "rate model")(params)
+def rate_populations(scheme: SchemeId | str) -> Callable:
+    """The scheme's dressed rate-equation evolution, ``(params, p0, times)``
+    to bare populations; ``ValueError`` if it has none."""
+    return _derived_rule(scheme, "rate_populations", "rate model")
 
 
 def analytic_asymmetry_error(scheme: SchemeId | str, alpha: float) -> float:
@@ -397,8 +401,7 @@ def effective_gap(comps: list[Component]) -> float:
     counterpart of the analytic gap, the weighted mean of the components'
     closed forms derived from the same effective operators."""
     return liouville.vectorize_sum([
-        (c.weight, effective.reduce(c.params).as_master_equation())
-        for c in comps]).gap()
+        (c.weight, effective.reduce(c.params)) for c in comps]).gap()
 
 
 def fidelity_response(scheme: SchemeId | str, omega: float,

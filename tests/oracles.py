@@ -4,7 +4,8 @@ rows, summed on the whole space), the plain effective-operator formula on
 them, the master equation's right-hand side evaluated directly, the
 complex form of a generator, the ``symmetric_basis`` states, the
 closed-form propagator entries of the excited sector, S1's closed-form
-error against the drive, a scheme's full-model fidelity, basis vectors,
+error against the drive, a scheme's full-model fidelity, S1's rate-model
+populations in the bare ground basis, basis vectors,
 populations read off density matrices, and the structural checks of density matrices and rate matrices."""
 
 import math
@@ -21,7 +22,7 @@ from cavsinglet.liouville import (
     symmetric_basis,
 )
 from cavsinglet.model import TERMS, MasterEquation, SystemParams, make_space
-from cavsinglet.ratemodel import RateMatrix
+from cavsinglet.ratemodel import build_rates, evolve
 from cavsinglet.schemes import components, full_model, mixture_fidelity
 
 
@@ -237,6 +238,26 @@ def full_fidelity(scheme, **preset_args) -> float:
     return mixture_fidelity(full_model(components(scheme, **preset_args)))
 
 
+def rate_populations(params: SystemParams, p0: np.ndarray,
+                     times: np.ndarray) -> np.ndarray:
+    """S1's dressed rate-model populations of (00, T, 11, S), as the rate
+    rows of ``trajectory`` were formed: the dressed triplet states over the
+    (00, 11, T) span laid out in the ground order, and bare populations mapped
+    to dressed ones and back through the squared amplitudes."""
+    norm2 = params.Omega_MW ** 2 + params.beta ** 2
+    a, b = params.Omega_MW / math.sqrt(norm2), params.beta / math.sqrt(norm2)
+    vectors = np.array([
+        [-0.5 * (b - 1.0), 0.5 * (b + 1.0), a / math.sqrt(2.0)],   # T+
+        [-0.5 * (b + 1.0), 0.5 * (b - 1.0), a / math.sqrt(2.0)],   # T-
+        [a / math.sqrt(2.0), -a / math.sqrt(2.0), b],              # Tr
+    ])
+    u = np.zeros((4, 4))
+    u[:3, [0, 2, 1]] = vectors  # columns 00, 11, T of (00, T, 11, S)
+    u[3, 3] = 1.0
+    weights = u ** 2
+    return evolve(build_rates(params, dressed=True), weights @ p0, times) @ weights
+
+
 def basis_vector(space: HilbertSpace, label: Label) -> np.ndarray:
     if label not in space.index_map:
         raise ValueError(f"label {label} is excluded from this space")
@@ -271,12 +292,12 @@ def validate_density(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def validate_rates(rm: RateMatrix) -> RateMatrix:
-    """rm itself if its off-diagonal rates are >= 0 and its columns sum to 0."""
-    m = rm.matrix
+def validate_rates(m: np.ndarray) -> np.ndarray:
+    """The rate matrix m itself if its off-diagonal rates are >= 0 and its
+    columns sum to 0."""
     off = m - np.diag(np.diag(m))
     if off.min() < -1e-14:
         raise ValueError("negative off-diagonal rate")
     if np.abs(m.sum(axis=0)).max() > 1e-14 * max(np.abs(m).max(), 1.0):
         raise ValueError("columns do not sum to zero")
-    return rm
+    return m

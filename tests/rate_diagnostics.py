@@ -7,25 +7,24 @@ import numpy as np
 from cavsinglet.effective import GROUND_LABELS, effective_rates
 from cavsinglet.liouville import ground_state_vectors
 from cavsinglet.model import SystemParams
-from cavsinglet.ratemodel import DressedBasis, RateMatrix
 
 
 class RecyclingDivergenceError(ValueError):
     """The recycling bottleneck model diverges without microwave driving."""
 
 
-def steady_populations(rm: RateMatrix) -> np.ndarray:
+def steady_populations(rates: np.ndarray) -> np.ndarray:
     """Stationary population vector (unit sum) of the rate matrix."""
-    evals, evecs = np.linalg.eig(rm.matrix)
+    evals, evecs = np.linalg.eig(rates)
     i = int(np.argmin(np.abs(evals)))
     p = np.real(evecs[:, i])
     p = p / p.sum()
     return p
 
 
-def slowest_rate(rm: RateMatrix) -> tuple[float, np.ndarray]:
+def slowest_rate(rates: np.ndarray) -> tuple[float, np.ndarray]:
     """Slowest nonzero decay rate and its (real) eigenvector."""
-    evals, evecs = np.linalg.eig(rm.matrix)
+    evals, evecs = np.linalg.eig(rates)
     order = np.argsort(np.abs(evals.real))
     i = order[1]
     vec = np.real(evecs[:, i])
@@ -33,11 +32,11 @@ def slowest_rate(rm: RateMatrix) -> tuple[float, np.ndarray]:
     return float(-evals[i].real), vec
 
 
-def slow_left_eigenvector(rm: RateMatrix) -> np.ndarray:
+def slow_left_eigenvector(rates: np.ndarray) -> np.ndarray:
     """Left eigenvector of the slowest mode: the collective coordinate that
     decays at the gap rate.  With equal singlet pumps it is the uniform
     triplet mixture."""
-    evals, evecs = np.linalg.eig(rm.matrix.T)
+    evals, evecs = np.linalg.eig(rates.T)
     order = np.argsort(np.abs(evals.real))
     vec = np.real(evecs[:, order[1]])
     return vec / np.linalg.norm(vec)
@@ -64,15 +63,16 @@ def recycling_model(params: SystemParams) -> dict[str, float]:
     }
 
 
-def dressed_populations(states: np.ndarray, space, db: DressedBasis) -> np.ndarray:
+def dressed_populations(states: np.ndarray, space, u: np.ndarray) -> np.ndarray:
     """Dressed-basis populations (T+, T-, Tr, S) from density matrices.
 
-    ``states`` has shape (n, d, d) over ``space``; the dressed vectors are
-    embedded at zero photons.
+    ``states`` has shape (n, d, d) over ``space``; ``u`` is
+    ``build_dressed_basis``'s change of basis, its dressed vectors embedded
+    at zero photons.
     """
     ground = ground_state_vectors(space)
     base = np.column_stack([ground[name] for name in GROUND_LABELS])
-    dressed_vecs = db.transform() @ base.T  # rows are dressed kets in full space
+    dressed_vecs = u @ base.T  # rows are dressed kets in full space
     out = np.empty((states.shape[0], 4))
     for k in range(4):
         v = dressed_vecs[k]

@@ -45,7 +45,7 @@ def weak_trajectories(s1_params, s1_master):
     """Full, effective and rate-equation evolutions at Omega = gamma/10."""
     rho0 = liouville.mixed_ground_state(s1_master.space)
     traj_full = liouville.propagate(s1_master, rho0, 4000.0, 0.05)
-    me_eff = effective.reduce(s1_params).as_master_equation()
+    me_eff = effective.reduce(s1_params)
     traj_eff = liouville.propagate(
         me_eff, liouville.mixed_ground_state(me_eff.space), 4000.0, 0.05
     )
@@ -230,9 +230,9 @@ def test_criterion_6_effective_operator_oracle(rng):
     t = np.array([0, 1, 0, 0], dtype=complex)
     e11 = np.array([0, 0, 1, 0], dtype=complex)
     gamma_eff = sum(
-        abs(s.conj() @ model.L_effs[f"gamma0_{j}"] @ t) ** 2 for j in (1, 2)
+        abs(s.conj() @ model.lindblads[f"gamma0_{j}"] @ t) ** 2 for j in (1, 2)
     ) / 2
-    kappa_eff = abs(e11.conj() @ model.L_effs["kappa"] @ s) ** 2
+    kappa_eff = abs(e11.conj() @ model.lindblads["kappa"] @ s) ** 2
     assert rel_dev(gamma_eff, rates["gamma_eff"]) <= 0.05
     assert rel_dev(kappa_eff, rates["kappa_eff"]) <= 0.05
     report(6, f"propagator oracle worst deviation {worst:.2e} over 100 draws; "
@@ -254,7 +254,7 @@ def test_criterion_7_trajectory_agreement(weak_trajectories):
     traj_strong = liouville.propagate(
         me_full, liouville.mixed_ground_state(me_full.space), 1500.0, 0.05
     )
-    me_dressed = effective.reduce_dressed(strong).as_master_equation()
+    me_dressed = effective.reduce_dressed(strong)
     traj_dressed = liouville.propagate(
         me_dressed, liouville.mixed_ground_state(me_dressed.space), 1500.0, 0.05
     )

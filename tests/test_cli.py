@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import cavsinglet
-from cavsinglet import cli, liouville, schemes
+from cavsinglet import cli, effective, liouville, schemes
 from cavsinglet.cli import main, microseconds, parse_rate, write_csv
+from oracles import rate_populations
 
 
 def read_csv(path):
@@ -117,6 +118,17 @@ def steady_values(tmp_path, scheme, *args):
     return {(o["name"], o["method"]): o["value"] for o in outputs}
 
 
+@pytest.mark.parametrize("scheme, delta", [("S0", 2.0), ("WS", 40.0)])
+def test_steady_delta_feeds_the_preset_rules(tmp_path, scheme, delta):
+    # --Delta is an input of the detuning rules (S0's cavity detuning
+    # g^2 / Delta, WS's beta = -Omega^2 / (4 Delta)), not only a value
+    # replaced after them
+    values = steady_values(tmp_path, scheme, "--Delta", repr(delta))
+    want = schemes.mixture_fidelity(schemes.full_model(
+        schemes.components(scheme, Delta=delta)))
+    assert values["fidelity", "full"] == pytest.approx(want, abs=1e-12)
+
+
 def test_steady_mixture_on_the_common_path(tmp_path):
     # the full gap is the smallest of the components' (T0's), and the
     # effective gap, from the weighted effective generators, tracks the
@@ -189,6 +201,8 @@ def test_trajectory_mixture_effective_tracks_full(tmp_path):
 @pytest.mark.parametrize("argv, message", [
     (["steady", "--omega", "nan", "--record"], "Omega must be finite"),
     (["steady", "--gamma", "nan", "--record"], "gamma must be finite"),
+    # S0's cavity detuning g^2 / Delta follows a given --Delta
+    (["steady", "--scheme", "S0", "--Delta", "0", "--record"], "needs Delta != 0"),
     (["trajectory", "--t-final", "nan", "--out"], "got t_final = nan"),
     (["trajectory", "--t-final", "inf", "--methods", "full,rate", "--out"],
      "got t_final = inf"),
@@ -410,6 +424,39 @@ def test_trajectory_rate_model_names_its_schemes(tmp_path):
     assert rows[0][-1] == "error: the rate model is derived for S1 only"
 
 
+@pytest.mark.parametrize("rho0", ["mixed", "T", "S"])
+def test_trajectory_rate_rows(tmp_path, rho0):
+    # the rate model's rows are its Trajectory's populations on the ground
+    # basis: no excited total, the fidelity is P_S, and the populations are
+    # the dressed evolution mapped back to the bare basis
+    out = tmp_path / "traj.csv"
+    assert main(["trajectory", "--scheme", "S1", "--t-final", "200", "--methods",
+                 "rate", "--rho0", rho0, "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    col = {name: [r[k] for r in rows] for k, name in enumerate(header)}
+    assert all(float(x) == 0.0 for x in col["P_excited_total"])
+    assert col["fidelity"] == col["P_S"]
+    times, _ = liouville.sample_grid(200.0, 0.05)
+    p0 = {"mixed": np.full(4, 0.25), "T": np.eye(4)[1], "S": np.eye(4)[3]}[rho0]
+    want = rate_populations(schemes.components("S1")[0].params, p0, times)
+    assert col["t"] == [f"{t:.11e}" for t in times]
+    for k, name in enumerate(["P_00", "P_T", "P_11", "P_S"]):
+        assert col[name] == [f"{x:.11e}" for x in want[:, k]]
+
+
+def test_trajectory_csv_rows(tmp_path):
+    out = tmp_path / "traj.csv"
+    assert main(["trajectory", "--scheme", "S1", "--t-final", "5", "--methods",
+                 "full", "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert header == ["t", "method", "P_00", "P_T", "P_11", "P_S",
+                      "P_excited_total", "fidelity"]
+    assert rows[0][:2] == ["0.00000000000e+00", "full"]
+    assert [float(x) for x in rows[0][2:6]] == pytest.approx([0.25] * 4)
+    assert rows[0][5] == rows[0][7]  # the fidelity is P_S
+    assert all(len(r) == 8 for r in rows)
+
+
 def test_trajectory_named_start(tmp_path):
     out = tmp_path / "traj.csv"
     methods = ["full", "effective", "dressed_effective", "rate"]
@@ -547,3 +594,23 @@ def test_reduce_dump(tmp_path):
                                    "gamma1_1", "gamma1_2"}
     assert "gamma_eff" in data["rates"]
     assert "ground_energies" in data
+
+
+def test_reduce_json_plain_and_dressed(tmp_path):
+    params = schemes.components("S1")[0].params
+    for dressed, reduction in ((False, effective.reduce),
+                               (True, effective.reduce_dressed)):
+        out = tmp_path / f"model_{dressed}.json"
+        assert main(["reduce", "--scheme", "S1", *(["--dressed"] * dressed),
+                     "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["dressed"] is dressed
+        assert list(data) == ["basis", "dressed", "H_eff", "L_effs",
+                              *(["ground_energies"] * dressed), "rates"]
+        model = reduction(params)
+        h = np.array(data["H_eff"])
+        assert np.array_equal(h[..., 0] + 1j * h[..., 1], model.H)
+        assert list(data["L_effs"]) == list(model.lindblads)
+    # the energies that reduce_dressed shifts its propagators by
+    assert data["ground_energies"] == np.linalg.eigh(
+        effective.elimination_blocks(params).H_g)[0].tolist()

@@ -36,7 +36,6 @@ from cavsinglet.liouville import (
     symmetric_basis,
     time_to_convergence,
     to_real,
-    trajectory_csv_rows,
     unvec,
     vec,
     vectorize,
@@ -136,8 +135,8 @@ class TestVectorize:
             models = [
                 build_master_equation(params, build_space(1, 1)),
                 build_master_equation(params.replace(n_max=2), build_space(2, 2)),
-                effective.reduce(params).as_master_equation(),
-                effective.reduce_dressed(params).as_master_equation(),
+                effective.reduce(params),
+                effective.reduce_dressed(params),
             ]
         rng = np.random.default_rng(11)
         for me in models:
@@ -223,7 +222,7 @@ def oracle_models() -> dict:
     models["S1 n_max=2"] = build_master_equation(params["S1"].replace(n_max=2))
     models["S1 two excitations"] = build_master_equation(
         params["S1"].replace(n_max=2), build_space(2, 2))
-    models["S1 effective"] = effective.reduce(params["S1"]).as_master_equation()
+    models["S1 effective"] = effective.reduce(params["S1"])
     return models
 
 
@@ -248,7 +247,7 @@ class TestRealForm:
 
     def test_weighted_sum_bit_identical_to_summed_oracle(self):
         # the mixture's effective gap sums its components' generators
-        terms = [(c.weight, effective.reduce(c.params).as_master_equation())
+        terms = [(c.weight, effective.reduce(c.params))
                  for c in components("T0S0_mix")]
         mat, d = sum(w * column_stacked(me) for w, me in terms), terms[0][1].dim
         assert np.array_equal(vectorize_sum(terms).real_form(),
@@ -402,7 +401,7 @@ class TestExchangeSectors:
         pairs, candidates = symmetric_basis(effective.GROUND.labels)
         assert pairs is None  # (00, T, 11, S) is the symmetric basis already
         assert [(len(even), len(odd)) for _, even, odd in candidates] == [(10, 6)] * 2
-        lv = vectorize(effective.reduce(params).as_master_equation())
+        lv = vectorize(effective.reduce(params))
         # WS's +-b shift couples S to T
         assert [len(m) for _, m in lv.blocks()] == ([16] if scheme == "WS" else [10, 6])
         ref = np.linalg.eigvals(lv.real_form())
@@ -700,14 +699,6 @@ class TestPropagate:
         for t_final, dt in ((np.nan, 0.05), (np.inf, 0.05), (1.0, np.nan)):
             with pytest.raises(ValueError, match="finite"):
                 sample_grid(t_final, dt)
-
-    def test_csv_rows(self, s1_master):
-        traj = propagate(s1_master, mixed_ground_state(s1_master.space), 5.0, 0.05)
-        header, rows = trajectory_csv_rows(traj)
-        assert header == ["t", "P_00", "P_T", "P_11", "P_S",
-                          "P_excited_total", "fidelity"]
-        assert rows[0][1:5] == pytest.approx([0.25, 0.25, 0.25, 0.25])
-        assert all(len(r) == 7 for r in rows)
 
 
 class TestFidelity:

@@ -23,24 +23,26 @@ SQ2 = math.sqrt(2.0)
 
 class TestDressedBasis:
     def test_optimal_detuning_shares(self):
-        db = build_dressed_basis(0.2, 0.2 / SQ2)
-        assert db.A == pytest.approx(math.sqrt(2 / 3))
-        assert db.B == pytest.approx(math.sqrt(1 / 3))
+        u = build_dressed_basis(0.2, 0.2 / SQ2)
+        # Tr's T amplitude is B = beta / sqrt(Omega_MW^2 + beta^2), and T+-'s
+        # A / sqrt 2 with A = Omega_MW / sqrt(...)
+        assert u[2, 1] == pytest.approx(math.sqrt(1 / 3))
+        assert u[0, 1] * SQ2 == pytest.approx(math.sqrt(2 / 3))
         # each dressed state carries an equal third of the bare triplet
-        t_weights = db.transform()[:3, 1] ** 2
+        t_weights = u[:3, 1] ** 2
         assert np.allclose(t_weights, 1 / 3)
 
     def test_zero_detuning_limit(self):
-        db = build_dressed_basis(0.2, 0.0)
-        # Tr becomes (|00> - |11>)/sqrt(2) over the (00, 11, T) span
-        assert np.allclose(db.vectors[2], [1 / SQ2, -1 / SQ2, 0.0])
+        u = build_dressed_basis(0.2, 0.0)
+        # Tr becomes (|00> - |11>)/sqrt(2) over the (00, T, 11, S) columns
+        assert np.allclose(u[2], [1 / SQ2, 0.0, -1 / SQ2, 0.0])
 
     def test_orthonormal(self):
-        db = build_dressed_basis(0.13, 0.07)
-        gram = db.vectors @ db.vectors.T
-        assert np.abs(gram - np.eye(3)).max() < 1e-12
-        u = db.transform()
+        u = build_dressed_basis(0.13, 0.07)
         assert np.abs(u @ u.T - np.eye(4)).max() < 1e-12
+        # the singlet is its own dressed state
+        assert np.array_equal(u[3], [0.0, 0.0, 0.0, 1.0])
+        assert np.array_equal(u[:3, 3], np.zeros(3))
 
     def test_degenerate_raises(self):
         with pytest.raises(ValueError):
@@ -48,7 +50,7 @@ class TestDressedBasis:
 
     def test_diagonalizes_ground_hamiltonian(self, s1_params):
         hg = elimination_blocks(s1_params).H_g
-        u = build_dressed_basis(s1_params.Omega_MW, s1_params.beta).transform()
+        u = build_dressed_basis(s1_params.Omega_MW, s1_params.beta)
         diag = u @ hg @ u.T
         off = np.abs(diag - np.diag(np.diag(diag))).max()
         assert off < 1e-12
@@ -64,9 +66,9 @@ class TestDressedBasis:
 class TestRateMatrix:
     def test_structure(self, s1_params):
         for dressed in (False, True):
-            rm = validate_rates(build_rates(s1_params, dressed=dressed))
-            assert rm.matrix.shape == (4, 4)
-            assert np.abs(rm.matrix.sum(axis=0)).max() < 1e-16
+            rates = validate_rates(build_rates(s1_params, dressed=dressed))
+            assert rates.shape == (4, 4)
+            assert np.abs(rates.sum(axis=0)).max() < 1e-16
 
     def test_weak_driving_steady_state(self, s1_params):
         pops = steady_populations(build_rates(s1_params))
@@ -109,9 +111,9 @@ class TestRateMatrix:
         )
 
     def test_population_conservation_in_evolution(self, s1_params):
-        rm = build_rates(s1_params, dressed=True)
+        rates = build_rates(s1_params, dressed=True)
         times = np.linspace(0.0, 2000.0, 50)
-        pops = evolve(rm, np.full(4, 0.25), times)
+        pops = evolve(rates, np.full(4, 0.25), times)
         assert np.abs(pops.sum(axis=1) - 1.0).max() < 1e-12
 
 
@@ -121,8 +123,8 @@ class TestAgainstFullModel:
         rho0 = liouville.mixed_ground_state(me.space)
         traj = liouville.propagate(me, rho0, 4000.0, 0.1)
         states = liouville.evolve_spectral(liouville.vectorize(me), rho0, traj.times)
-        db = build_dressed_basis(s1_params.Omega_MW, s1_params.beta)
-        full = dressed_populations(states, me.space, db)
+        u = build_dressed_basis(s1_params.Omega_MW, s1_params.beta)
+        full = dressed_populations(states, me.space, u)
         rate = evolve(build_rates(s1_params, dressed=True),
                       np.full(4, 0.25), traj.times)
         assert np.abs(full - rate).max() < 0.02
@@ -130,8 +132,8 @@ class TestAgainstFullModel:
     def test_dressed_populations_of_mixed_state(self, s1_params):
         me = build_master_equation(s1_params)
         rho0 = liouville.mixed_ground_state(me.space)
-        db = build_dressed_basis(s1_params.Omega_MW, s1_params.beta)
-        pops = dressed_populations(rho0[np.newaxis], me.space, db)
+        u = build_dressed_basis(s1_params.Omega_MW, s1_params.beta)
+        pops = dressed_populations(rho0[np.newaxis], me.space, u)
         assert np.allclose(pops, 0.25, atol=1e-14)
 
 
